@@ -24,7 +24,7 @@ void BM_KdTreeBuild(benchmark::State& state) {
   Rng rng(1);
   const Dataset data = SampleStandardGaussian(n, 4, rng);
   for (auto _ : state) {
-    KdTree tree(data, KdTreeOptions());
+    KdTree tree(data, IndexOptions());
     benchmark::DoNotOptimize(tree.num_nodes());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -35,7 +35,7 @@ void BM_KdTreeBuildSplitRule(benchmark::State& state) {
   const size_t n = 50'000;
   Rng rng(2);
   const Dataset data = SampleStandardGaussian(n, 4, rng);
-  KdTreeOptions options;
+  IndexOptions options;
   options.split_rule = static_cast<SplitRule>(state.range(0));
   for (auto _ : state) {
     KdTree tree(data, options);
@@ -52,7 +52,7 @@ void BM_RangeQuery(benchmark::State& state) {
   const size_t n = 100'000;
   Rng rng(3);
   const Dataset data = SampleStandardGaussian(n, 2, rng);
-  KdTree tree(data, KdTreeOptions());
+  KdTree tree(data, IndexOptions());
   const std::vector<double> inv_bw{10.0, 10.0};  // h = 0.1.
   const double radius_sq =
       static_cast<double>(state.range(0)) * static_cast<double>(state.range(0));
@@ -75,7 +75,7 @@ void BM_BoundDensityQuery(benchmark::State& state) {
   static TkdcConfig config;
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data, 1.0));
-  KdTree tree(data, KdTreeOptions());
+  KdTree tree(data, IndexOptions());
   DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   TreeQueryContext ctx;
   // A plausible 1%-quantile threshold for 2-d standard normal KDE.

@@ -41,7 +41,7 @@ struct Fixture {
  private:
   Fixture()
       : data(MakeData()),
-        tree(data, KdTreeOptions()),
+        tree(data, IndexOptions()),
         kernel(KernelType::kGaussian,
                SelectBandwidths(BandwidthRule::kScott, data, 1.0)) {}
 

@@ -62,7 +62,7 @@ inline PruningLabResult RunPruningLab(const Dataset& data, double threshold,
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  KdTreeOptions tree_options;
+  IndexOptions tree_options;
   tree_options.leaf_size = config.leaf_size;
   tree_options.split_rule = config.split_rule;
   tree_options.axis_rule = config.axis_rule;

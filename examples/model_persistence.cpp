@@ -10,7 +10,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "tkdc/classifier.h"
-#include "tkdc/model_io.h"
+#include "tkdc_api.h"
 
 int main() {
   const std::string model_path = "quickstart_model.tkdc";
@@ -27,25 +27,27 @@ int main() {
     classifier.Train(data);
     std::printf("trained: threshold t(0.02) = %.6g\n",
                 classifier.threshold());
-    std::string error;
-    if (!tkdc::SaveModel(model_path, classifier, data,
-                         /*include_densities=*/false, &error)) {
-      std::printf("save failed: %s\n", error.c_str());
+    tkdc::api::SaveOptions options;
+    options.include_densities = false;
+    const tkdc::Status saved =
+        tkdc::api::SaveModel(model_path, classifier, data, options);
+    if (!saved.ok()) {
+      std::printf("save failed: %s\n", saved.message().c_str());
       return 1;
     }
     std::printf("model saved to %s\n", model_path.c_str());
   }
 
   // --- Serving process (nothing from training in scope) ---
-  std::string error;
-  auto classifier = tkdc::LoadModel(model_path, &error);
-  if (classifier == nullptr) {
-    std::printf("load failed: %s\n", error.c_str());
+  auto loaded = tkdc::api::LoadAny(model_path);
+  if (!loaded.ok()) {
+    std::printf("load failed: %s\n", loaded.status().message().c_str());
     return 1;
   }
-  std::printf("model loaded: %zu points, %zu dims, threshold %.6g\n",
-              classifier->tree().size(), classifier->tree().dims(),
-              classifier->threshold());
+  tkdc::DensityClassifier* classifier = loaded.value().single();
+  std::printf("model loaded: %s, %zu points, %zu dims, threshold %.6g\n",
+              classifier->name().c_str(), classifier->training_size(),
+              classifier->dims(), classifier->threshold());
 
   tkdc::Rng probe_rng(22);
   size_t high = 0;

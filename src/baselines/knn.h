@@ -99,12 +99,12 @@ class KnnClassifier : public DensityClassifier {
   /// Scaled distance to the k-th neighbor (the raw outlier score).
   double KthNeighborDistance(std::span<const double> x, bool training);
 
-  /// Restores a trained state from serialized parts (model_io): rebuilds
-  /// the index from `data` (or adopts `prebuilt_index`) and installs the
-  /// threshold without re-running the quantile pass. k and leaf_size come
-  /// from options().
+  /// Restores a trained state from serialized parts (model_io): adopts
+  /// `prebuilt_index` (the serialized index, built over `data`) and
+  /// installs the threshold without re-running the quantile pass. k and
+  /// leaf_size come from options().
   void Restore(const Dataset& data, double threshold,
-               std::unique_ptr<const SpatialIndex> prebuilt_index = nullptr);
+               std::unique_ptr<const SpatialIndex> prebuilt_index);
 
  private:
   static double KthDistance(const KnnModel& m, KnnQueryContext& ctx, size_t k,

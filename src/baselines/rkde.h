@@ -93,13 +93,13 @@ class RkdeClassifier : public DensityClassifier {
     return model_ != nullptr ? model_->radius_sq : 0.0;
   }
 
-  /// Restores a trained state from serialized parts (model_io): rebuilds
-  /// the index from `data` (or adopts `prebuilt_index` when the artifact
-  /// carried one) and installs the given bandwidths, radius, and threshold
-  /// without re-running the bootstrap or the quantile pass.
+  /// Restores a trained state from serialized parts (model_io): adopts
+  /// `prebuilt_index` (the serialized index, built over `data`) and
+  /// installs the given bandwidths, radius, and threshold without
+  /// re-running the bootstrap or the quantile pass.
   void Restore(const Dataset& data, const std::vector<double>& bandwidths,
                double radius_sq, double threshold,
-               std::unique_ptr<const SpatialIndex> prebuilt_index = nullptr);
+               std::unique_ptr<const SpatialIndex> prebuilt_index);
 
  private:
   /// Truncated density at `x`: range query + exact kernel sum over the

@@ -249,32 +249,4 @@ void BallTree::NodeChildrenScaledSquaredDistanceBounds(
   }
 }
 
-void BallTree::NodeScaledSquaredDistanceBoundsToBox(
-    size_t node_index, const BoundingBox& query_box,
-    std::span<const double> inv_bw, double* z_min, double* z_max) const {
-  const std::span<const double> centroid = Centroid(node_index);
-  double factor_hi = 0.0;
-  double factor_lo = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < dims_; ++j) {
-    const double f = inv_bw[j] * inv_scale_[j];
-    factor_hi = std::max(factor_hi, f);
-    factor_lo = std::min(factor_lo, f);
-  }
-  const double r_hi = radii_[node_index] * factor_hi;
-  const double r_lo = radii_min_[node_index] * factor_lo;
-  // Triangle inequality against the nearest/farthest box point from the
-  // centroid: valid for every query point in the box and every node point
-  // in the annulus. The per-query centroid distance ranges over
-  // [box_min, box_max], so the simultaneous lower bound takes each term at
-  // its weakest end of that range.
-  const double box_min =
-      std::sqrt(query_box.MinScaledSquaredDistance(centroid, inv_bw));
-  const double box_max =
-      std::sqrt(query_box.MaxScaledSquaredDistance(centroid, inv_bw));
-  const double lo = std::max({0.0, box_min - r_hi, r_lo - box_max});
-  const double hi = box_max + r_hi;
-  *z_min = lo * lo;
-  *z_max = hi * hi;
-}
-
 }  // namespace tkdc

@@ -10,7 +10,7 @@
 namespace tkdc {
 
 /// Which spatial-index structure backs the tree traversals. Stable on-disk
-/// values (model format v3 stores them): never renumber, only append.
+/// values (model files store them): never renumber, only append.
 enum class IndexBackend : uint8_t {
   /// Axis-aligned k-d tree (paper Section 3.2). Tight boxes at low d;
   /// the min/max-corner bounds go slack as dimension grows.

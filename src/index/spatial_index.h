@@ -34,9 +34,6 @@ struct IndexOptions {
   std::vector<double> scale;
 };
 
-/// Legacy name from when the k-d tree was the only backend.
-using KdTreeOptions = IndexOptions;
-
 /// One node of a spatial index. Nodes are stored in a flat vector; children
 /// are referenced by index (-1 marks a leaf). Every node knows its point
 /// range [begin, end) in the index's reordered point array — the
@@ -124,7 +121,7 @@ class SpatialIndex {
   }
 
   /// Number of leaves / total doubles in the SoA mirror (diagnostics and
-  /// the model-format v4 layout descriptor).
+  /// the model file's SoA layout descriptor).
   size_t num_soa_leaves() const { return soa_leaf_count_; }
   size_t num_soa_doubles() const { return soa_points_.size(); }
 
@@ -158,12 +155,6 @@ class SpatialIndex {
                                                std::span<const double> inv_bw,
                                                double* z_min,
                                                double* z_max) const = 0;
-
-  /// Box-query variant: bounds valid for *every* query point inside
-  /// `query_box` simultaneously (the dual-tree building block).
-  virtual void NodeScaledSquaredDistanceBoundsToBox(
-      size_t node_index, const BoundingBox& query_box,
-      std::span<const double> inv_bw, double* z_min, double* z_max) const = 0;
 
   /// Eq. 6 bounds for *both children* of internal node `node_index` in one
   /// call: out = {left z_min, left z_max, right z_min, right z_max}. The

@@ -269,31 +269,28 @@ void MicroBatcher::Loop() {
   }
 }
 
-void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
-                                 bool* rebuild_wanted) {
-  const uint64_t id = pending.request.id;
-  const std::span<const double> x = pending.request.point;
+Response MicroBatcher::ApplyMutation(const Request& request,
+                                     ServingModel& model,
+                                     bool* rebuild_wanted) {
+  const uint64_t id = request.id;
+  const std::span<const double> x = request.point;
   if (!model.streaming) {
-    pending.done(Response::Error(
-        id, "model does not support streaming (INSERT/DELETE)"));
-    return;
+    return Response::Error(id,
+                           "model does not support streaming (INSERT/DELETE)");
   }
   DeltaOverlay& overlay = *model.overlay;
-  const bool is_insert = pending.request.verb == RequestVerb::kInsert;
+  const bool is_insert = request.verb == RequestVerb::kInsert;
   if (!is_insert) {
     // DELETE validation: the point must currently be live, and removing it
     // must leave a model (>= 2 points keeps every engine's invariants).
     if (model.effective_n() <= 2) {
-      pending.done(Response::Error(
-          id, "refusing DELETE: model would fall below 2 points"));
-      return;
+      return Response::Error(
+          id, "refusing DELETE: model would fall below 2 points");
     }
     if (model.live_counts != nullptr) {
       const auto it = model.live_counts->find(PointKey(x));
       if (it == model.live_counts->end() || it->second <= 0) {
-        pending.done(
-            Response::Error(id, "DELETE of a point not in the model"));
-        return;
+        return Response::Error(id, "DELETE of a point not in the model");
       }
     }
   }
@@ -304,9 +301,8 @@ void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
       std::lock_guard<std::mutex> lock(mutex_);
       if (shard_ != nullptr) shard_->Inc(overlay_rejected_id_);
     }
-    pending.done(Response::Error(
-        id, "overlay full; retry after the rebuild (or FLUSH)"));
-    return;
+    return Response::Error(id,
+                           "overlay full; retry after the rebuild (or FLUSH)");
   }
   if (model.live_counts != nullptr) {
     (*model.live_counts)[PointKey(x)] += is_insert ? 1 : -1;
@@ -330,7 +326,13 @@ void MicroBatcher::ApplyMutation(Pending& pending, ServingModel& model,
       shard_->Inc(is_insert ? overlay_inserts_id_ : overlay_deletes_id_);
     }
   }
-  pending.done(Response::Ok(id, is_insert ? "INSERTED" : "DELETED"));
+  return Response::Ok(id, is_insert ? "INSERTED" : "DELETED");
+}
+
+void MicroBatcher::BookCompleted(size_t count) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  totals_.completed += count;
+  if (shard_ != nullptr) shard_->Inc(completed_id_, count);
 }
 
 void MicroBatcher::InstallRebuild(
@@ -438,10 +440,8 @@ void MicroBatcher::ExecuteBatch(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (executed != 0) {
-      totals_.completed += executed;
       ++totals_.batches;
       if (shard_ != nullptr) {
-        shard_->Inc(completed_id_, executed);
         shard_->Inc(batches_id_);
         if (stale_queries > 0) shard_->Inc(stale_queries_id_, stale_queries);
         shard_->Observe(batch_size_id_, static_cast<double>(executed));
@@ -530,12 +530,17 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
         estimate.push_back(&pending);
         break;
       case RequestVerb::kInsert:
-      case RequestVerb::kDelete:
-        // Multi-class generations never stream; ApplyMutation answers the
-        // not-streaming error for them.
-        ApplyMutation(pending, model, &rebuild_wanted);
+      case RequestVerb::kDelete: {
+        // Answered as soon as applied, but booked first like the queries
+        // below. Multi-class generations never stream; ApplyMutation
+        // answers the not-streaming error for them.
+        const Response response =
+            ApplyMutation(pending.request, model, &rebuild_wanted);
+        BookCompleted(1);
+        pending.done(response);
         ++executed;
         break;
+      }
       default:
         // Control verbs are handled at the session layer and never
         // enqueued; seeing one here is a programmer error.
@@ -546,10 +551,16 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
   }
 
   // Overlay state is frozen for the rest of the batch (mutation
-  // quiescence): every query group folds the same Delta.
+  // quiescence): every query group folds the same Delta. Query answers are
+  // held until the group's work is booked (completion count, query-path
+  // metrics), so a client that reads its answer and then sends STATS sees
+  // its own request counted.
   const bool use_overlay =
       model.streaming && !model.overlay->snapshot().empty();
   size_t stale_queries = 0;
+  std::vector<std::pair<Pending*, Response>> answers;
+  answers.reserve(classify.size() + classify_training.size() +
+                  classify_mc.size() + estimate.size());
   const auto run_classify_group = [&](std::vector<Pending*>& group,
                                       bool training) {
     if (group.empty()) return;
@@ -566,11 +577,11 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
             : training ? classifier.ClassifyTrainingBatch(queries)
                        : classifier.ClassifyBatch(queries);
     for (size_t i = 0; i < group.size(); ++i) {
-      group[i]->done(Response::Ok(
-          group[i]->request.id,
-          labels[i] == Classification::kHigh ? "HIGH" : "LOW"));
+      answers.emplace_back(
+          group[i], Response::Ok(group[i]->request.id,
+                                 labels[i] == Classification::kHigh ? "HIGH"
+                                                                    : "LOW"));
     }
-    executed += group.size();
     if (use_overlay) stale_queries += group.size();
   };
   run_classify_group(classify, /*training=*/false);
@@ -584,10 +595,10 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
     }
     const std::vector<uint32_t> labels = mc.ClassifyBatch(queries);
     for (size_t i = 0; i < classify_mc.size(); ++i) {
-      classify_mc[i]->done(Response::Ok(classify_mc[i]->request.id,
+      answers.emplace_back(classify_mc[i],
+                           Response::Ok(classify_mc[i]->request.id,
                                         mc.class_labels()[labels[i]]));
     }
-    executed += classify_mc.size();
   }
   for (Pending* pending : estimate) {
     DensityClassifier& classifier = *model.classifier;
@@ -596,13 +607,15 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
             ? classifier.EstimateDensityWithOverlay(pending->request.point,
                                                     *model.overlay)
             : classifier.EstimateDensity(pending->request.point);
-    pending->done(
-        Response::Ok(pending->request.id, FormatDensity(density)));
-    ++executed;
+    answers.emplace_back(
+        pending, Response::Ok(pending->request.id, FormatDensity(density)));
     if (use_overlay) ++stale_queries;
   }
   model.FlushMetrics();  // Query-path shard → registry (no-op if
                          // detached).
+  if (!answers.empty()) BookCompleted(answers.size());
+  for (auto& [pending, response] : answers) pending->done(response);
+  executed += answers.size();
 
   *group_stale_queries += stale_queries;
   if (rebuild_wanted) rebuild_ids.push_back(scope);

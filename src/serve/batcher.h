@@ -263,11 +263,15 @@ class MicroBatcher {
                       const std::string& scope, Clock::time_point drained_at,
                       std::vector<std::string>& rebuild_ids,
                       size_t* stale_queries);
-  /// Applies one INSERT/DELETE to `model` and answers it. Dispatcher
-  /// thread; mutation-quiescence is upheld because no queries run
-  /// concurrently with this.
-  void ApplyMutation(Pending& pending, ServingModel& model,
-                     bool* rebuild_wanted);
+  /// Applies one INSERT/DELETE to `model` and returns its answer.
+  /// Dispatcher thread; mutation-quiescence is upheld because no queries
+  /// run concurrently with this.
+  Response ApplyMutation(const Request& request, ServingModel& model,
+                         bool* rebuild_wanted);
+  /// Books `count` completed requests (totals and the serve shard). Called
+  /// before their answers go out, so a STATS read after an answer counts
+  /// it.
+  void BookCompleted(size_t count);
   /// Migrates the unconsumed overlay suffix and installs `publication`.
   /// Dispatcher thread, called without the lock held.
   void InstallRebuild(RebuildPublication publication,

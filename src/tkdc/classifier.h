@@ -134,25 +134,20 @@ class TkdcClassifier : public DensityClassifier {
   DensityBounds BoundDensityAt(std::span<const double> x);
 
   /// Restores a previously trained state without re-running the bootstrap
-  /// or the training-density pass: rebuilds the model (index, grid,
-  /// engine) from `data` — or adopts `prebuilt_index` when the artifact
-  /// carried a serialized index (model format v3) — and installs the given
-  /// kernel bandwidths and thresholds. Used by model deserialization
-  /// (tkdc/model_io.h). The vectors must be consistent with `data`
-  /// (bandwidths per dimension; densities per row, or empty). `coreset`
-  /// (model format v6) restores the compression metadata when `data` is a
+  /// or the training-density pass: adopts `prebuilt_index` (the serialized
+  /// index, built over `data`), rebuilds the grid and engine from `data`,
+  /// and installs the given kernel bandwidths and thresholds. Used by model
+  /// deserialization (tkdc/model_io.h). The vectors must be consistent with
+  /// `data` (bandwidths per dimension; densities per row, or empty).
+  /// `coreset` restores the compression metadata when `data` is a
   /// serialized coreset; the default means "data is the full training set".
   void Restore(const Dataset& data, const std::vector<double>& bandwidths,
                double threshold_lower, double threshold_upper,
                double threshold, std::vector<double> training_densities,
-               std::unique_ptr<const SpatialIndex> prebuilt_index = nullptr,
+               std::unique_ptr<const SpatialIndex> prebuilt_index,
                CoresetInfo coreset = CoresetInfo());
 
  private:
-  // The dual-tree batch classifier reuses this classifier's engine,
-  // threshold, and self-contribution.
-  friend class DualTreeClassifier;
-
   /// Computes Dx for all training rows under bounds [lo, hi], fanning rows
   /// across the executor and folding worker counters into `sink`.
   std::vector<double> ComputeTrainingDensities(const Dataset& data, double lo,

@@ -50,7 +50,7 @@ class TreeQueryContext : public QueryContext {
     neighbors.reserve(64);
   }
 
-  /// Binary heap via std::push/pop_heap (point and box traversals).
+  /// Binary heap via std::push/pop_heap (the best-first frontier).
   std::vector<TraversalQueueEntry> queue;
   /// Range-query hit list (rkde's radial neighbor collection).
   std::vector<size_t> neighbors;
@@ -132,37 +132,6 @@ class DensityBoundEvaluator {
                                    double offset, double t_lo, double t_hi,
                                    double tolerance) const;
 
-  /// BoundDensity seeded from an explicit reference-node `frontier` (a
-  /// disjoint cover of the training set, e.g. the frontier a dual-tree box
-  /// probe ended with) instead of the root. Equivalent result, but skips
-  /// re-descending through nodes the box probe already refined.
-  DensityBounds BoundDensityFromFrontier(
-      TreeQueryContext& ctx, std::span<const double> x, double t_lo,
-      double t_hi, double tolerance, const std::vector<uint32_t>& frontier) const;
-
-  /// Bounds the density of EVERY point inside `query_box` simultaneously:
-  /// the returned interval contains f(q) for all q in the box. This is the
-  /// dual-tree building block (paper Section 5 future work): a whole query
-  /// node can be classified at once when its box-level bounds clear the
-  /// threshold. Reference-tree leaves are treated as atomic (their box is
-  /// the finest granularity); callers fall back to per-point BoundDensity
-  /// when the box bounds stay undecided.
-  ///
-  /// `frontier` (in/out, may be null) carries the unexpanded reference
-  /// nodes between probes: a child query box starts from its parent's
-  /// frontier instead of re-descending from the root, which is what makes
-  /// the traversal "dual". On input an empty frontier means {root}.
-  ///
-  /// `max_expansions` caps node expansions per probe: a probe is only
-  /// worthwhile if it decides quickly, so the dual-tree driver uses a
-  /// small budget and splits the query node when the probe runs out.
-  /// Negative means unbounded.
-  DensityBounds BoundDensityForBox(TreeQueryContext& ctx,
-                                   const BoundingBox& query_box, double t_lo,
-                                   double t_hi, double tolerance = -1.0,
-                                   int64_t max_expansions = -1,
-                                   std::vector<uint32_t>* frontier = nullptr) const;
-
   /// Starts an *incremental* point refinement: seeds `ctx.queue` with the
   /// root's Eq. 6 contribution interval and returns it. Unlike
   /// BoundDensity, no pruning rule runs and no query is counted — the
@@ -197,23 +166,10 @@ class DensityBoundEvaluator {
                                 std::span<const double> x,
                                 uint32_t node_index) const;
 
-  /// Box-query variant: contribution bounds valid for every point of
-  /// `query_box`.
-  TraversalQueueEntry MakeBoxEntry(TreeQueryContext& ctx,
-                                   const BoundingBox& query_box,
-                                   uint32_t node_index) const;
-
-  /// Shared refinement loop for point queries; `ctx.queue`, `f_lo`, `f_hi`
-  /// must already be seeded with a disjoint cover of the training set.
-  DensityBounds RunPointTraversal(TreeQueryContext& ctx,
-                                  std::span<const double> x, double t_lo,
-                                  double t_hi, double tolerance, double f_lo,
-                                  double f_hi) const;
-
   /// Pops the top queue entry and replaces its interval with its children's
   /// (or the exact leaf sum), updating `*f_lo` / `*f_hi` in place — the
-  /// single expansion step shared by RunPointTraversal and
-  /// RefinePointBounds. The queue must be non-empty.
+  /// single expansion step shared by BoundDensity and RefinePointBounds.
+  /// The queue must be non-empty.
   void ExpandTop(TreeQueryContext& ctx, std::span<const double> x,
                  double* f_lo, double* f_hi) const;
 

@@ -58,9 +58,9 @@ struct TkdcModel {
 /// self-contribution — from `data` and per-axis `bandwidths`, leaving the
 /// threshold fields for the caller (Train's bootstrap or model_io's
 /// restore). The index build is deterministic, so restoring from the
-/// original training data reproduces the trained tree exactly; a restore
-/// that already deserialized the index (model format v3) passes it as
-/// `prebuilt_index` to skip the rebuild.
+/// original training data reproduces the trained tree exactly; model_io's
+/// restore passes the deserialized index as `prebuilt_index` to skip the
+/// rebuild.
 std::shared_ptr<TkdcModel> BuildTkdcModelSkeleton(
     const TkdcConfig& config, const Dataset& data,
     std::vector<double> bandwidths,

@@ -23,7 +23,7 @@ namespace {
 
 constexpr char kMagic[4] = {'T', 'K', 'D', 'C'};
 
-// Algorithm tags stored in version-2 files. Stable on-disk values: never
+// Algorithm tags (the first payload word). Stable on-disk values: never
 // renumber, only append.
 constexpr uint32_t kTagTkdc = 1;
 constexpr uint32_t kTagNocut = 2;
@@ -31,8 +31,7 @@ constexpr uint32_t kTagSimple = 3;
 constexpr uint32_t kTagRkde = 4;
 constexpr uint32_t kTagBinned = 5;
 constexpr uint32_t kTagKnn = 6;
-// Multi-class container (format version 5): K, labels, priors, then K
-// nested tkdc sections.
+// Multi-class container: K, labels, priors, then K nested tkdc sections.
 constexpr uint32_t kTagMultiClass = 7;
 
 // Guard absurd sizes before allocating (corrupt headers).
@@ -119,11 +118,7 @@ class Reader {
   uint64_t checksum_ = 0xcbf29ce484222325ULL;
 };
 
-// Config block. The writer always emits the current version; the
-// index_backend field joined in version 3 and fast_math_leaf in version 4,
-// so the reader is version-gated and legacy files resolve to the defaults
-// they were invariably built with (k-d tree, exact leaf math), never to
-// the loader's environment default.
+// Config block: every TkdcConfig field that shapes the trained model.
 void WriteConfig(Writer& w, const TkdcConfig& config) {
   w.F64(config.p);
   w.F64(config.epsilon);
@@ -146,12 +141,13 @@ void WriteConfig(Writer& w, const TkdcConfig& config) {
   w.U64(config.seed);
   w.U32(static_cast<uint32_t>(config.index_backend));
   w.U8(config.fast_math_leaf ? 1 : 0);
-  w.F64(config.coreset_epsilon);  // Version 6.
+  w.F64(config.coreset_epsilon);
 }
 
-bool ReadConfig(Reader& r, uint32_t version, TkdcConfig* config) {
+bool ReadConfig(Reader& r, TkdcConfig* config) {
   uint32_t kernel = 0, bandwidth_rule = 0, split_rule = 0, axis_rule = 0;
-  uint8_t threshold_rule = 0, tolerance_rule = 0, grid = 0;
+  uint32_t index_backend = 0;
+  uint8_t threshold_rule = 0, tolerance_rule = 0, grid = 0, fast_math_leaf = 0;
   uint64_t grid_max_dims = 0, leaf_size = 0, r0 = 0, s0 = 0, seed = 0;
   if (!r.F64(&config->p) || !r.F64(&config->epsilon) ||
       !r.F64(&config->delta) || !r.F64(&config->bandwidth_scale) ||
@@ -160,15 +156,10 @@ bool ReadConfig(Reader& r, uint32_t version, TkdcConfig* config) {
       !r.U32(&split_rule) || !r.U32(&axis_rule) || !r.U64(&leaf_size) ||
       !r.U64(&r0) || !r.U64(&s0) || !r.F64(&config->h_backoff) ||
       !r.F64(&config->h_buffer) || !r.F64(&config->h_growth) ||
-      !r.U64(&seed)) {
+      !r.U64(&seed) || !r.U32(&index_backend) || !r.U8(&fast_math_leaf) ||
+      !r.F64(&config->coreset_epsilon)) {
     return false;
   }
-  uint32_t index_backend = static_cast<uint32_t>(IndexBackend::kKdTree);
-  if (version >= 3 && !r.U32(&index_backend)) return false;
-  uint8_t fast_math_leaf = 0;
-  if (version >= 4 && !r.U8(&fast_math_leaf)) return false;
-  config->coreset_epsilon = 0.0;  // Pre-v6 files never compressed.
-  if (version >= 6 && !r.F64(&config->coreset_epsilon)) return false;
   if (kernel > 3 || bandwidth_rule > 1 || split_rule > 2 || axis_rule > 1 ||
       index_backend > 1 || leaf_size == 0) {
     return false;
@@ -219,17 +210,17 @@ bool ReadValues(Reader& r, uint64_t dims, uint64_t n,
   return true;
 }
 
-// --- Spatial-index section (format version 3+) -------------------------
+// --- Spatial-index section ----------------------------------------------
 //
 // Shared trailer of every tree-backed section: backend tag, node topology
 // (shared by both backends), the reordered-to-original row permutation,
 // and the backend-specific geometry (k-d boxes, or ball centroids +
-// annulus radii + build scale). The raw training values already precede this section, so
-// the reordered point storage is reconstructed from the permutation rather
-// than stored twice. Version 4 appends an SoA leaf-layout descriptor
-// (lane width, leaf count, total padded doubles); the SoA mirror itself
-// is derived from the reordered points and is rebuilt on load, so the
-// descriptor is a cross-check, not storage.
+// annulus radii + build scale). The raw training values already precede
+// this section, so the reordered point storage is reconstructed from the
+// permutation rather than stored twice. An SoA leaf-layout descriptor
+// (lane width, leaf count, total padded doubles) closes the section; the
+// SoA mirror itself is derived from the reordered points and is rebuilt on
+// load, so the descriptor is a cross-check, not storage.
 void WriteIndexSection(Writer& w, const SpatialIndex& index) {
   w.U8(static_cast<uint8_t>(index.backend()));
   w.U64(index.num_nodes());
@@ -279,8 +270,8 @@ void WriteIndexSection(Writer& w, const SpatialIndex& index) {
       break;
     }
   }
-  // Version-4 SoA descriptor. Lane width is an architectural constant of
-  // the format: a file written here must rebuild to exactly this layout.
+  // SoA descriptor. Lane width is an architectural constant of the
+  // format: a file written here must rebuild to exactly this layout.
   w.U64(kSimdBlockWidth);
   w.U64(index.num_soa_leaves());
   w.U64(index.num_soa_doubles());
@@ -337,7 +328,6 @@ bool FiniteVec(const std::vector<double>& v) {
 // rules); the backend comes from the section's own tag. Returns nullptr
 // with `*why` set on any structural violation.
 std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
-                                                     uint32_t version,
                                                      const Dataset& data,
                                                      IndexOptions options,
                                                      std::string* why) {
@@ -464,22 +454,20 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     *why = "unknown index backend";
     return nullptr;
   }
-  if (version >= 4) {
-    // SoA descriptor: the restore constructors just rebuilt the mirror
-    // from the reordered points, so the stored layout must agree exactly —
-    // a mismatch means the file was written by an incompatible layout (or
-    // corrupted) and leaf scans would disagree with the writer.
-    uint64_t lane_width = 0, soa_leaves = 0, soa_doubles = 0;
-    if (!r.U64(&lane_width) || !r.U64(&soa_leaves) || !r.U64(&soa_doubles)) {
-      *why = "truncated SoA descriptor";
-      return nullptr;
-    }
-    if (lane_width != kSimdBlockWidth ||
-        soa_leaves != index->num_soa_leaves() ||
-        soa_doubles != index->num_soa_doubles()) {
-      *why = "SoA descriptor does not match the rebuilt index layout";
-      return nullptr;
-    }
+  // SoA descriptor: the restore constructors just rebuilt the mirror from
+  // the reordered points, so the stored layout must agree exactly — a
+  // mismatch means the file was written by an incompatible layout (or
+  // corrupted) and leaf scans would disagree with the writer.
+  uint64_t lane_width = 0, soa_leaves = 0, soa_doubles = 0;
+  if (!r.U64(&lane_width) || !r.U64(&soa_leaves) || !r.U64(&soa_doubles)) {
+    *why = "truncated SoA descriptor";
+    return nullptr;
+  }
+  if (lane_width != kSimdBlockWidth ||
+      soa_leaves != index->num_soa_leaves() ||
+      soa_doubles != index->num_soa_doubles()) {
+    *why = "SoA descriptor does not match the rebuilt index layout";
+    return nullptr;
   }
   return index;
 }
@@ -495,8 +483,8 @@ uint32_t TagFor(const DensityClassifier& classifier) {
   return 0;
 }
 
-// The tkdc/nocut section — identical to the whole version-1 payload, so
-// the same reader serves legacy files.
+// The tkdc/nocut section, also nested once per class in the multi-class
+// container.
 void WriteTkdcSection(Writer& w, const TkdcClassifier& c,
                       const Dataset& training_data, bool include_densities) {
   // The serialized index is ground truth; keep the config's backend field
@@ -517,9 +505,9 @@ void WriteTkdcSection(Writer& w, const TkdcClassifier& c,
   }
   w.DoubleVec(training_data.values());
   WriteIndexSection(w, c.tree());
-  // Version-6 trailer: the resolved error-budget table and the coreset
-  // metadata. The budget is derived state (the reader re-resolves it from
-  // the config and demands exact agreement), stored so the breakdown is
+  // Trailer: the resolved error-budget table and the coreset metadata.
+  // The budget is derived state (the reader re-resolves it from the
+  // config and demands exact agreement), stored so the breakdown is
   // inspectable without executing any tkdc code.
   const ErrorBudget& budget = c.error_budget();
   w.F64(budget.total);
@@ -533,12 +521,11 @@ void WriteTkdcSection(Writer& w, const TkdcClassifier& c,
   w.U32(coreset.halvings);
 }
 
-std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, uint32_t version,
-                                                bool nocut,
+std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, bool nocut,
                                                 const std::string& path,
                                                 std::string* error) {
   TkdcConfig config;
-  if (!ReadConfig(r, version, &config)) {
+  if (!ReadConfig(r, &config)) {
     *error = path + ": truncated or corrupt config block";
     return nullptr;
   }
@@ -576,62 +563,55 @@ std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, uint32_t version,
     return nullptr;
   }
   Dataset data(dims, std::move(values));
-  std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    std::string why;
-    index = ReadIndexSection(r, version, data, config.MakeIndexOptions(), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    if (index->backend() != config.index_backend) {
-      *error = path + ": index section backend contradicts config";
-      return nullptr;
-    }
+  std::string why;
+  std::unique_ptr<const SpatialIndex> index =
+      ReadIndexSection(r, data, config.MakeIndexOptions(), &why);
+  if (index == nullptr) {
+    *error = path + ": " + why;
+    return nullptr;
   }
+  if (index->backend() != config.index_backend) {
+    *error = path + ": index section backend contradicts config";
+    return nullptr;
+  }
+  ErrorBudget budget;
   CoresetInfo coreset;
-  if (version >= 6) {
-    ErrorBudget budget;
-    uint8_t enabled = 0;
-    uint32_t halvings = 0;
-    if (!r.F64(&budget.total) || !r.F64(&budget.traversal) ||
-        !r.F64(&budget.coreset) || !r.F64(&budget.fast_math) ||
-        !r.U8(&enabled) || !r.U64(&coreset.original_size) ||
-        !r.F64(&coreset.achieved_error) || !r.U32(&halvings)) {
-      *error = path + ": truncated budget/coreset trailer";
-      return nullptr;
-    }
-    coreset.enabled = enabled != 0;
-    coreset.halvings = halvings;
-    // The shares are derived from the config, so the table must agree with
-    // the config's own resolution bit-for-bit; any checksum-fixed edit of
-    // a share (negative, non-summing, reshuffled) fails here. ReadConfig
-    // already validated the config, so ResolveBudget cannot CHECK-fail.
-    const ErrorBudget resolved = config.ResolveBudget();
-    if (!budget.Validate().ok() || budget.total != resolved.total ||
-        budget.traversal != resolved.traversal ||
-        budget.coreset != resolved.coreset ||
-        budget.fast_math != resolved.fast_math) {
-      *error = path + ": error-budget table does not match the config";
-      return nullptr;
-    }
-    if (coreset.enabled) {
-      // The serialized training data IS the coreset: a compressed model
-      // must claim an original set at least as large, with a finite spent
-      // error and at least one halving behind the size reduction.
-      if (coreset.original_size < n ||
-          !std::isfinite(coreset.achieved_error) ||
-          coreset.achieved_error < 0.0 || coreset.halvings == 0) {
-        *error = path + ": corrupt coreset metadata";
-        return nullptr;
-      }
-    } else if (coreset.original_size != n || coreset.achieved_error != 0.0 ||
-               coreset.halvings != 0) {
+  uint8_t enabled = 0;
+  uint32_t halvings = 0;
+  if (!r.F64(&budget.total) || !r.F64(&budget.traversal) ||
+      !r.F64(&budget.coreset) || !r.F64(&budget.fast_math) ||
+      !r.U8(&enabled) || !r.U64(&coreset.original_size) ||
+      !r.F64(&coreset.achieved_error) || !r.U32(&halvings)) {
+    *error = path + ": truncated budget/coreset trailer";
+    return nullptr;
+  }
+  coreset.enabled = enabled != 0;
+  coreset.halvings = halvings;
+  // The shares are derived from the config, so the table must agree with
+  // the config's own resolution bit-for-bit; any checksum-fixed edit of a
+  // share (negative, non-summing, reshuffled) fails here. ReadConfig
+  // already validated the config, so ResolveBudget cannot CHECK-fail.
+  const ErrorBudget resolved = config.ResolveBudget();
+  if (!budget.Validate().ok() || budget.total != resolved.total ||
+      budget.traversal != resolved.traversal ||
+      budget.coreset != resolved.coreset ||
+      budget.fast_math != resolved.fast_math) {
+    *error = path + ": error-budget table does not match the config";
+    return nullptr;
+  }
+  if (coreset.enabled) {
+    // The serialized training data IS the coreset: a compressed model must
+    // claim an original set at least as large, with a finite spent error
+    // and at least one halving behind the size reduction.
+    if (coreset.original_size < n || !std::isfinite(coreset.achieved_error) ||
+        coreset.achieved_error < 0.0 || coreset.halvings == 0) {
       *error = path + ": corrupt coreset metadata";
       return nullptr;
     }
-  } else {
-    coreset.original_size = n;
+  } else if (coreset.original_size != n || coreset.achieved_error != 0.0 ||
+             coreset.halvings != 0) {
+    *error = path + ": corrupt coreset metadata";
+    return nullptr;
   }
   std::unique_ptr<TkdcClassifier> classifier =
       nocut ? std::make_unique<NocutClassifier>(config)
@@ -668,7 +648,7 @@ bool WriteMultiClassSection(Writer& w, const MultiClassClassifier& c,
 }
 
 std::unique_ptr<MultiClassClassifier> ReadMultiClassSection(
-    Reader& r, uint32_t version, const std::string& path, std::string* error) {
+    Reader& r, const std::string& path, std::string* error) {
   uint64_t k = 0;
   if (!r.U64(&k)) {
     *error = path + ": truncated multi-class header";
@@ -690,7 +670,7 @@ std::unique_ptr<MultiClassClassifier> ReadMultiClassSection(
   parts.reserve(k);
   for (uint64_t i = 0; i < k; ++i) {
     std::unique_ptr<TkdcClassifier> part =
-        ReadTkdcSection(r, version, /*nocut=*/false, path, error);
+        ReadTkdcSection(r, /*nocut=*/false, path, error);
     if (part == nullptr) return nullptr;
     parts.push_back(std::move(part));
   }
@@ -764,11 +744,11 @@ void WriteRkdeSection(Writer& w, const RkdeClassifier& c,
   WriteIndexSection(w, *c.model().tree);
 }
 
-std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r, uint32_t version,
+std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r,
                                                    const std::string& path,
                                                    std::string* error) {
   RkdeOptions options;
-  if (!ReadConfig(r, version, &options.base)) {
+  if (!ReadConfig(r, &options.base)) {
     *error = path + ": truncated or corrupt config block";
     return nullptr;
   }
@@ -788,19 +768,16 @@ std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r, uint32_t version,
     return nullptr;
   }
   Dataset data(dims, std::move(values));
-  std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    std::string why;
-    index =
-        ReadIndexSection(r, version, data, options.base.MakeIndexOptions(), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    if (index->backend() != options.base.index_backend) {
-      *error = path + ": index section backend contradicts config";
-      return nullptr;
-    }
+  std::string why;
+  std::unique_ptr<const SpatialIndex> index =
+      ReadIndexSection(r, data, options.base.MakeIndexOptions(), &why);
+  if (index == nullptr) {
+    *error = path + ": " + why;
+    return nullptr;
+  }
+  if (index->backend() != options.base.index_backend) {
+    *error = path + ": index section backend contradicts config";
+    return nullptr;
   }
   auto classifier = std::make_unique<RkdeClassifier>(options);
   classifier->Restore(data, bandwidths, radius_sq, threshold,
@@ -867,7 +844,7 @@ void WriteKnnSection(Writer& w, const KnnClassifier& c,
   WriteIndexSection(w, *c.model().tree);
 }
 
-std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r, uint32_t version,
+std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r,
                                                   const std::string& path,
                                                   std::string* error) {
   KnnOptions options;
@@ -893,21 +870,30 @@ std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r, uint32_t version,
     return nullptr;
   }
   Dataset data(dims, std::move(values));
-  std::unique_ptr<const SpatialIndex> index;
-  if (version >= 3) {
-    IndexOptions index_options;
-    index_options.leaf_size = options.leaf_size;
-    std::string why;
-    index = ReadIndexSection(r, version, data, std::move(index_options), &why);
-    if (index == nullptr) {
-      *error = path + ": " + why;
-      return nullptr;
-    }
-    options.index_backend = index->backend();
+  IndexOptions index_options;
+  index_options.leaf_size = options.leaf_size;
+  std::string why;
+  std::unique_ptr<const SpatialIndex> index =
+      ReadIndexSection(r, data, std::move(index_options), &why);
+  if (index == nullptr) {
+    *error = path + ": " + why;
+    return nullptr;
   }
+  options.index_backend = index->backend();
   auto classifier = std::make_unique<KnnClassifier>(options);
   classifier->Restore(data, threshold, std::move(index));
   return classifier;
+}
+
+// The loaders read exactly kModelFormatVersion; any other version word is
+// rejected with the version found and the one supported.
+bool SupportedVersion(const std::string& path, uint32_t version,
+                      std::string* error) {
+  if (version == kModelFormatVersion) return true;
+  *error = path + ": unsupported model format version " +
+           std::to_string(version) + " (this build reads version " +
+           std::to_string(kModelFormatVersion) + " only)";
+  return false;
 }
 
 // Shared front half of every load path: slurps the file, validates magic
@@ -915,11 +901,10 @@ std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r, uint32_t version,
 // single field is parsed — a flipped byte must never reach the model
 // builders (where, say, a corrupted coordinate would fail an index-build
 // invariant instead of producing a clean load error). On success fills the
-// payload bytes, the format version, and the stored checksum (which the
-// section parsers re-derive as their consumed-everything witness).
+// payload bytes and the stored checksum (which the section parsers
+// re-derive as their consumed-everything witness).
 bool LoadVerifiedPayload(const std::string& path, std::string* payload,
-                         uint32_t* version, uint64_t* stored_checksum,
-                         std::string* error) {
+                         uint64_t* stored_checksum, std::string* error) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     *error = "cannot open " + path;
@@ -938,11 +923,9 @@ bool LoadVerifiedPayload(const std::string& path, std::string* payload,
     *error = path + ": not a tkdc model file";
     return false;
   }
-  std::memcpy(version, buffer.data() + sizeof(kMagic), sizeof(*version));
-  if (*version < 1 || *version > kModelFormatVersion) {
-    *error = path + ": unsupported model format version";
-    return false;
-  }
+  uint32_t version = 0;
+  std::memcpy(&version, buffer.data() + sizeof(kMagic), sizeof(version));
+  if (!SupportedVersion(path, version, error)) return false;
 
   const size_t payload_size = buffer.size() - kHeaderSize - kTrailerSize;
   const unsigned char* bytes =
@@ -966,39 +949,37 @@ std::unique_ptr<DensityClassifier> LoadImpl(const std::string& path,
                                             std::string* error) {
   TKDC_CHECK(error != nullptr);
   std::string payload;
-  uint32_t version = 0;
   uint64_t stored_checksum = 0;
-  if (!LoadVerifiedPayload(path, &payload, &version, &stored_checksum,
-                           error)) {
+  if (!LoadVerifiedPayload(path, &payload, &stored_checksum, error)) {
     return nullptr;
   }
 
   std::istringstream payload_in(std::move(payload));
   Reader r(payload_in);
-  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
-  if (version >= 2 && !r.U32(&tag)) {
+  uint32_t tag = 0;
+  if (!r.U32(&tag)) {
     *error = path + ": truncated algorithm tag";
     return nullptr;
   }
   std::unique_ptr<DensityClassifier> classifier;
   switch (tag) {
     case kTagTkdc:
-      classifier = ReadTkdcSection(r, version, /*nocut=*/false, path, error);
+      classifier = ReadTkdcSection(r, /*nocut=*/false, path, error);
       break;
     case kTagNocut:
-      classifier = ReadTkdcSection(r, version, /*nocut=*/true, path, error);
+      classifier = ReadTkdcSection(r, /*nocut=*/true, path, error);
       break;
     case kTagSimple:
       classifier = ReadSimpleSection(r, path, error);
       break;
     case kTagRkde:
-      classifier = ReadRkdeSection(r, version, path, error);
+      classifier = ReadRkdeSection(r, path, error);
       break;
     case kTagBinned:
       classifier = ReadBinnedSection(r, path, error);
       break;
     case kTagKnn:
-      classifier = ReadKnnSection(r, version, path, error);
+      classifier = ReadKnnSection(r, path, error);
       break;
     case kTagMultiClass:
       *error = path +
@@ -1171,17 +1152,15 @@ std::unique_ptr<MultiClassClassifier> LoadMultiClassModel(
     const std::string& path, std::string* error) {
   TKDC_CHECK(error != nullptr);
   std::string payload;
-  uint32_t version = 0;
   uint64_t stored_checksum = 0;
-  if (!LoadVerifiedPayload(path, &payload, &version, &stored_checksum,
-                           error)) {
+  if (!LoadVerifiedPayload(path, &payload, &stored_checksum, error)) {
     return nullptr;
   }
 
   std::istringstream payload_in(std::move(payload));
   Reader r(payload_in);
-  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
-  if (version >= 2 && !r.U32(&tag)) {
+  uint32_t tag = 0;
+  if (!r.U32(&tag)) {
     *error = path + ": truncated algorithm tag";
     return nullptr;
   }
@@ -1190,7 +1169,7 @@ std::unique_ptr<MultiClassClassifier> LoadMultiClassModel(
     return nullptr;
   }
   std::unique_ptr<MultiClassClassifier> classifier =
-      ReadMultiClassSection(r, version, path, error);
+      ReadMultiClassSection(r, path, error);
   if (classifier == nullptr) return nullptr;
 
   // Same consumed-everything witness as LoadImpl: the streaming checksum
@@ -1210,23 +1189,22 @@ ModelKind ProbeModelKind(const std::string& path, std::string* error) {
     *error = "cannot open " + path;
     return ModelKind::kInvalid;
   }
-  // Magic, version, and (version >= 2) the leading algorithm tag of the
-  // payload — enough to dispatch without reading the body.
+  // Magic, version, and the leading algorithm tag of the payload — enough
+  // to dispatch without reading the body.
   char magic[sizeof(kMagic)] = {};
   uint32_t version = 0;
+  uint32_t tag = 0;
   if (!in.read(magic, sizeof(magic)) ||
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     *error = path + ": not a tkdc model file";
     return ModelKind::kInvalid;
   }
-  if (!in.read(reinterpret_cast<char*>(&version), sizeof(version)) ||
-      version < 1 || version > kModelFormatVersion) {
-    *error = path + ": unsupported model format version";
+  if (!in.read(reinterpret_cast<char*>(&version), sizeof(version))) {
+    *error = path + ": truncated model file";
     return ModelKind::kInvalid;
   }
-  uint32_t tag = kTagTkdc;  // Version-1 files are always plain tkdc.
-  if (version >= 2 &&
-      !in.read(reinterpret_cast<char*>(&tag), sizeof(tag))) {
+  if (!SupportedVersion(path, version, error)) return ModelKind::kInvalid;
+  if (!in.read(reinterpret_cast<char*>(&tag), sizeof(tag))) {
     *error = path + ": truncated model file";
     return ModelKind::kInvalid;
   }

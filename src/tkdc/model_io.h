@@ -15,12 +15,12 @@ namespace tkdc {
 /// (magic "TKDC", format version, algorithm tag, then a per-algorithm
 /// section holding the parameters, thresholds, and training data). The
 /// training data rides along so derived structures (grid cache, density
-/// grid) can be rebuilt deterministically on load. Since format version 3
-/// the tree-backed sections (tkdc/nocut, rkde, knn) additionally carry the
-/// spatial index itself — backend tag, topology, and per-node geometry
-/// (k-d boxes or ball centroids/radii) — so a load adopts the exact trained
-/// index instead of re-running the build, and a ball-tree model restores as
-/// a ball tree regardless of the loader's configured default backend.
+/// grid) can be rebuilt deterministically on load. The tree-backed sections
+/// (tkdc/nocut, rkde, knn) additionally carry the spatial index itself —
+/// backend tag, topology, and per-node geometry (k-d boxes or ball
+/// centroids/radii) — so a load adopts the exact trained index instead of
+/// re-running the build, and a ball-tree model restores as a ball tree
+/// regardless of the loader's configured default backend.
 ///
 /// Works for every DensityClassifier subclass in the repo (tkdc, nocut,
 /// simple, rkde, binned, knn). `training_data` must be the dataset the
@@ -33,16 +33,15 @@ bool SaveModel(const std::string& path, const DensityClassifier& classifier,
                std::string* error);
 
 /// Loads a model saved by SaveModel when it is a tkdc (or nocut) model.
-/// Reads both the current format and legacy version-1 files (which were
-/// always tkdc). Returns nullptr and fills `*error` on malformed input or
-/// when the file holds a different algorithm — use LoadAnyModel for that.
+/// Returns nullptr and fills `*error` on malformed input or when the file
+/// holds a different algorithm — use LoadAnyModel for that.
 /// The returned classifier is fully trained: ready to Classify() without
 /// touching the bootstrap.
 std::unique_ptr<TkdcClassifier> LoadModel(const std::string& path,
                                           std::string* error);
 
-/// Loads a model of any algorithm, dispatching on the stored tag. Legacy
-/// version-1 files load as tkdc. The result's runtime type matches name():
+/// Loads a model of any algorithm, dispatching on the stored tag. The
+/// result's runtime type matches name():
 /// "tkdc", "nocut", "simple", "rkde", "binned", or "knn". Multi-class
 /// container files are rejected with an error directing callers to
 /// LoadMultiClassModel — the container is not a DensityClassifier.
@@ -81,25 +80,18 @@ enum class ModelKind : uint8_t {
 
 ModelKind ProbeModelKind(const std::string& path, std::string* error);
 
-/// Current model format version written by SaveModel. Version 1 (tkdc
-/// only, no algorithm tag), version 2 (algorithm tag, no serialized
-/// index — always k-d tree), and version 3 (serialized index, no SoA
-/// descriptor) are still readable. Version 4 adds the fast_math_leaf
-/// config flag and an SoA leaf-layout descriptor to the index section;
-/// the SoA mirror itself is derived state, always rebuilt on load and
-/// never serialized — the descriptor only cross-checks the rebuild.
-/// Version 5 adds the multi-class container tag (7); single-class
-/// sections are unchanged, so a version-5 single-class file is readable
-/// by any version-4-era section logic and all older files still load.
-/// Version 6 adds the coreset_epsilon config field and, to the tkdc/nocut
-/// sections (including those nested in a multi-class container), a trailer
-/// holding the resolved error-budget table and the coreset metadata
-/// (enabled flag, original training-set size, achieved error, halvings).
-/// The serialized training data of a compressed model IS the coreset, so
-/// every older structure (index, grid, SoA rebuild) loads unchanged; the
-/// budget table is validated against the config's own resolution, making a
-/// checksum-fixed corruption of any share a clean load error. v1-v5 files
-/// still load (coreset_epsilon = 0, uncompressed metadata).
+/// The model format version SaveModel writes and the only one the loaders
+/// (and ProbeModelKind) accept; a file carrying any other version word is
+/// rejected with an error naming the version found. In this layout every
+/// tree-backed section closes with an SoA leaf-layout descriptor (the SoA
+/// mirror itself is derived state, rebuilt on load — the descriptor only
+/// cross-checks the rebuild), and every tkdc/nocut section (including
+/// those nested in a multi-class container) ends with a trailer holding
+/// the resolved error-budget table and the coreset metadata (enabled flag,
+/// original training-set size, achieved error, halvings). The serialized
+/// training data of a compressed model IS the coreset; the budget table is
+/// validated against the config's own resolution, making a checksum-fixed
+/// corruption of any share a clean load error.
 inline constexpr uint32_t kModelFormatVersion = 6;
 
 }  // namespace tkdc

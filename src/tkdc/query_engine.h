@@ -61,8 +61,8 @@ class TkdcQueryEngine {
                                 std::span<const double> x,
                                 const DeltaOverlay& overlay) const;
 
-  /// Raw density bounds for a query point (diagnostics and the bootstrap /
-  /// dual-tree drivers go through the evaluator directly).
+  /// Raw density bounds for a query point (diagnostics and the bootstrap
+  /// go through the evaluator directly).
   const DensityBoundEvaluator& evaluator() const { return evaluator_; }
 
  private:

@@ -21,7 +21,8 @@ enum class CutoffReason : uint8_t {
   /// The traversal exhausted the tree — every remaining node was expanded
   /// down to exact leaf sums, so the bounds are exact.
   kExactLeaf,
-  /// A box probe ran out of its expansion budget (dual-tree driver only).
+  /// A budgeted refinement (RefinePointBounds, the multi-class loop) ran
+  /// out of its expansion budget before the bounds became exact.
   kExpansionBudget,
 };
 
@@ -44,8 +45,8 @@ inline const char* CutoffReasonName(CutoffReason reason) {
 }
 
 /// One node expansion of a traced traversal, with the certified density
-/// interval as it stood AFTER the expansion. Step 0 is the seed (the root
-/// or frontier bounds, node = the first seed entry, no expansion yet).
+/// interval as it stood AFTER the expansion. Step 0 is the seed (the
+/// root's bounds, node = the root, no expansion yet).
 struct TraceStep {
   uint32_t node = 0;
   bool is_leaf = false;

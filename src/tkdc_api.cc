@@ -83,27 +83,14 @@ Result<std::unique_ptr<DensityClassifier>> Train(const Dataset& data,
   return classifier;
 }
 
-Result<std::unique_ptr<DensityClassifier>> LoadModel(const std::string& path) {
-  std::string error;
-  std::unique_ptr<DensityClassifier> classifier = LoadAnyModel(path, &error);
-  if (classifier == nullptr) return Status::Error(error);
-  return classifier;
-}
-
 Status SaveModel(const std::string& path, const DensityClassifier& classifier,
-                 const Dataset& training_data, bool include_densities) {
+                 const Dataset& training_data, const SaveOptions& options) {
   std::string error;
-  if (!tkdc::SaveModel(path, classifier, training_data, include_densities,
-                       &error)) {
+  if (!tkdc::SaveModel(path, classifier, training_data,
+                       options.include_densities, &error)) {
     return Status::Error(error);
   }
   return Status::Ok();
-}
-
-Status SaveModel(const std::string& path, const DensityClassifier& classifier,
-                 const Dataset& training_data, const SaveOptions& options) {
-  return SaveModel(path, classifier, training_data,
-                   options.include_densities);
 }
 
 Result<std::unique_ptr<MultiClassClassifier>> TrainMultiClass(
@@ -121,28 +108,13 @@ Result<std::unique_ptr<MultiClassClassifier>> TrainMultiClass(
 
 Status SaveMultiClassModel(const std::string& path,
                            const MultiClassClassifier& classifier,
-                           bool include_densities) {
+                           const SaveOptions& options) {
   std::string error;
-  if (!tkdc::SaveMultiClassModel(path, classifier, include_densities,
+  if (!tkdc::SaveMultiClassModel(path, classifier, options.include_densities,
                                  &error)) {
     return Status::Error(error);
   }
   return Status::Ok();
-}
-
-Status SaveMultiClassModel(const std::string& path,
-                           const MultiClassClassifier& classifier,
-                           const SaveOptions& options) {
-  return SaveMultiClassModel(path, classifier, options.include_densities);
-}
-
-Result<std::unique_ptr<MultiClassClassifier>> LoadMultiClassModel(
-    const std::string& path) {
-  std::string error;
-  std::unique_ptr<MultiClassClassifier> classifier =
-      tkdc::LoadMultiClassModel(path, &error);
-  if (classifier == nullptr) return Status::Error(error);
-  return classifier;
 }
 
 Result<ModelKind> ProbeModel(const std::string& path) {
@@ -219,16 +191,18 @@ void ModelHandle::AttachMetrics(MetricsRegistry* registry) {
 }
 
 Result<ModelHandle> LoadAny(const std::string& path) {
-  auto kind = ProbeModel(path);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == ModelKind::kMultiClass) {
-    auto loaded = LoadMultiClassModel(path);
-    if (!loaded.ok()) return loaded.status();
-    return ModelHandle(loaded.take());
+  std::string error;
+  const ModelKind kind = ProbeModelKind(path, &error);
+  if (kind == ModelKind::kInvalid) return Status::Error(error);
+  if (kind == ModelKind::kMultiClass) {
+    std::unique_ptr<MultiClassClassifier> multi =
+        tkdc::LoadMultiClassModel(path, &error);
+    if (multi == nullptr) return Status::Error(error);
+    return ModelHandle(std::move(multi));
   }
-  auto loaded = LoadModel(path);
-  if (!loaded.ok()) return loaded.status();
-  return ModelHandle(loaded.take());
+  std::unique_ptr<DensityClassifier> single = LoadAnyModel(path, &error);
+  if (single == nullptr) return Status::Error(error);
+  return ModelHandle(std::move(single));
 }
 
 Result<TrainOptions> RecoverTrainOptions(const DensityClassifier& classifier) {

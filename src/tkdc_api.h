@@ -72,16 +72,8 @@ struct SaveOptions {
 /// Persists a trained classifier (any algorithm) to `path`.
 /// `training_data` must be the dataset it was trained on.
 Status SaveModel(const std::string& path, const DensityClassifier& classifier,
-                 const Dataset& training_data, const SaveOptions& options);
-
-/// Deprecated positional-bool form; prefer the SaveOptions overload.
-Status SaveModel(const std::string& path, const DensityClassifier& classifier,
-                 const Dataset& training_data, bool include_densities = true);
-
-/// Loads a single-class model saved by SaveModel, dispatching on the
-/// stored algorithm tag. The result is fully trained. Deprecated entry
-/// point: prefer LoadAny, which also handles multi-class files.
-Result<std::unique_ptr<DensityClassifier>> LoadModel(const std::string& path);
+                 const Dataset& training_data,
+                 const SaveOptions& options = {});
 
 /// Human-readable description of a trained model (the `tkdc_cli info`
 /// body): algorithm, dimensions, threshold, and per-algorithm extras.
@@ -116,18 +108,7 @@ Result<std::unique_ptr<MultiClassClassifier>> TrainMultiClass(
 /// K per-class tkdc sections plus the label/prior table).
 Status SaveMultiClassModel(const std::string& path,
                            const MultiClassClassifier& classifier,
-                           const SaveOptions& options);
-
-/// Deprecated positional-bool form; prefer the SaveOptions overload.
-Status SaveMultiClassModel(const std::string& path,
-                           const MultiClassClassifier& classifier,
-                           bool include_densities = true);
-
-/// Loads a multi-class container saved by SaveMultiClassModel. Errors on
-/// single-class files (use LoadAny) and on any corruption. Deprecated
-/// entry point: prefer LoadAny, which dispatches on the file kind.
-Result<std::unique_ptr<MultiClassClassifier>> LoadMultiClassModel(
-    const std::string& path);
+                           const SaveOptions& options = {});
 
 /// What `path` holds — single-class or multi-class — decided from the
 /// file header alone, so callers can dispatch to the right loader without
@@ -195,8 +176,8 @@ class ModelHandle {
 };
 
 /// Loads any model file — single- or multi-class — dispatching on the
-/// header probe. The one entry point callers need; LoadModel /
-/// LoadMultiClassModel remain as deprecated kind-specific wrappers.
+/// header probe. The one entry point callers need. The result is fully
+/// trained; errors on any corruption or unsupported format version.
 Result<ModelHandle> LoadAny(const std::string& path);
 
 /// Human-readable description of a trained multi-class model (the

@@ -13,8 +13,8 @@
 namespace tkdc {
 namespace {
 
-KdTreeOptions SmallLeaves(SplitRule rule = SplitRule::kTrimmedMidpoint) {
-  KdTreeOptions options;
+IndexOptions SmallLeaves(SplitRule rule = SplitRule::kTrimmedMidpoint) {
+  IndexOptions options;
   options.leaf_size = 4;
   options.split_rule = rule;
   return options;
@@ -22,7 +22,7 @@ KdTreeOptions SmallLeaves(SplitRule rule = SplitRule::kTrimmedMidpoint) {
 
 TEST(KdTreeTest, SinglePointTree) {
   Dataset data(2, {1.0, 2.0});
-  KdTree tree(data, KdTreeOptions());
+  KdTree tree(data, IndexOptions());
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_TRUE(tree.root().is_leaf());
@@ -43,7 +43,7 @@ TEST(KdTreeTest, RootCoversAllPoints) {
 
 TEST(KdTreeTest, LeafSizeZeroDies) {
   Dataset data(2, {1.0, 2.0, 3.0, 4.0});
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = 0;
   EXPECT_DEATH(KdTree(data, options), "leaf_size");
 }
@@ -153,7 +153,7 @@ TEST(KdTreeTest, AllDuplicatePointsBecomeOneLeaf) {
 TEST(KdTreeTest, DepthIsLogarithmicForMedianSplits) {
   Rng rng(5);
   Dataset data = SampleStandardGaussian(4096, 2, rng);
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = 1;
   options.split_rule = SplitRule::kMedian;
   KdTree tree(data, options);
@@ -165,7 +165,7 @@ TEST(KdTreeTest, DepthIsLogarithmicForMedianSplits) {
 TEST(KdTreeTest, CycleAxisRuleAlternatesSplitAxes) {
   Rng rng(6);
   Dataset data = SampleStandardGaussian(64, 2, rng);
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = 8;
   options.axis_rule = SplitAxisRule::kCycle;
   KdTree tree(data, options);
@@ -184,7 +184,7 @@ TEST(KdTreeTest, WidestExtentRuleSplitsDominantAxis) {
     data.AppendRow(
         std::vector<double>{rng.NextGaussian(), 50.0 * rng.NextGaussian()});
   }
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = 8;
   options.axis_rule = SplitAxisRule::kWidestExtent;
   KdTree tree(data, options);
@@ -242,7 +242,7 @@ TEST(KdTreeRangeQueryTest, WholeBoxShortcutCountsNoDistances) {
 TEST(KdTreeTest, LargeLeafSizeMakesShallowTree) {
   Rng rng(11);
   Dataset data = SampleStandardGaussian(1000, 2, rng);
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = 1000;
   KdTree tree(data, options);
   EXPECT_EQ(tree.num_nodes(), 1u);

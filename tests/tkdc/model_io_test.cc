@@ -32,34 +32,6 @@ uint64_t Fnv1a(const std::string& bytes) {
   return checksum;
 }
 
-// Rebuilds the pre-version-3 flavor of a serialized tkdc section by
-// removing everything versions 3+ added: the index_backend config field
-// (4 bytes), the version-4 fast_math_leaf byte, and the version-6
-// coreset_epsilon double at the end of the fixed-size config prefix, plus
-// the trailing spatial-index section — whose byte length follows from the
-// tree shape (k-d geometry: one DoubleVec of 2 * dims doubles per node,
-// then the version-4 SoA descriptor of three uint64s) — and the version-6
-// budget/coreset trailer (four doubles, flag byte, uint64, double,
-// uint32).
-std::string StripIndexAdditions(const std::string& section,
-                                const SpatialIndex& tree) {
-  constexpr size_t kIndexBackendOffset = 115;
-  const size_t per_node = 2 * sizeof(uint64_t) + 2 * sizeof(uint32_t) + 1;
-  const size_t geometry =
-      sizeof(uint64_t) + 2 * tree.dims() * tree.num_nodes() * sizeof(double);
-  const size_t budget_trailer = 4 * sizeof(double) + 1 + sizeof(uint64_t) +
-                                sizeof(double) + sizeof(uint32_t);
-  const size_t index_bytes = 1 + sizeof(uint64_t) +
-                             tree.size() * sizeof(uint64_t) +
-                             tree.num_nodes() * per_node + geometry +
-                             3 * sizeof(uint64_t) + budget_trailer;
-  std::string stripped =
-      section.substr(0, kIndexBackendOffset) +
-      section.substr(kIndexBackendOffset + sizeof(uint32_t) +
-                     sizeof(uint8_t) + sizeof(double));
-  return stripped.substr(0, stripped.size() - index_bytes);
-}
-
 class ModelIoTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
@@ -210,8 +182,8 @@ TEST_F(ModelIoTest, LoadRejectsBitFlip) {
       << "bit flip must be detected";
 }
 
-// Version-2 files carry an algorithm tag; every classifier in the lineup
-// must round trip through LoadAnyModel with its labels intact.
+// Model files carry an algorithm tag; every classifier in the lineup must
+// round trip through LoadAnyModel with its labels intact.
 class AnyModelRoundTripTest
     : public ModelIoTest,
       public ::testing::WithParamInterface<const char*> {
@@ -354,102 +326,67 @@ TEST_F(ModelIoTest, BallTreeBackedModelsRoundTrip) {
   }
 }
 
-TEST_F(ModelIoTest, ReadsVersionOneFiles) {
-  // Version 1 had no algorithm tag and no spatial-index section: the
-  // payload began directly with the tkdc section, which ended at the raw
-  // training values. Build a v1 file from a current one by dropping the
-  // tag, stripping the version-3 additions, rewinding the version field,
-  // and recomputing the FNV-1a checksum over the shorter payload — then
-  // require the loader to accept it as a plain tkdc model. Legacy files
-  // are inherently kd-backed, so pin the backend rather than inherit
-  // TKDC_INDEX (the transformation below strips kd-sized geometry).
-  const Dataset data = TrainSet(26);
-  TkdcConfig config;
-  config.index_backend = IndexBackend::kKdTree;
-  TkdcClassifier original(config);
-  original.Train(data);
-  const std::string v3_path = TempPath("v3.tkdc");
+TEST_F(ModelIoTest, RejectsEveryOtherFormatVersion) {
+  // The loaders read kModelFormatVersion only. The checksum covers the
+  // payload alone, so rewriting the version word leaves a file that is
+  // wrong in its version and nothing else; every entry point must refuse
+  // it with an error naming the version found and the one supported.
+  const Dataset data = TrainSet(48, 500);
+  TkdcClassifier single;
+  single.Train(data);
+  Rng rng(49);
+  std::vector<Dataset> class_data;
+  class_data.push_back(SampleStandardGaussian(80, 2, rng));
+  class_data.push_back(SampleStandardGaussian(60, 2, rng));
+  MultiClassClassifier multi;
+  ASSERT_TRUE(multi.TrainParts(class_data, {"a", "b"}).ok());
+
   std::string error;
-  ASSERT_TRUE(SaveModel(v3_path, original, data, true, &error)) << error;
-  std::ifstream in(v3_path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  // Layout: magic[4] version[4] tag[4] section... checksum[8].
-  ASSERT_GT(contents.size(), 20u);
-  const std::string section = StripIndexAdditions(
-      contents.substr(12, contents.size() - 12 - sizeof(uint64_t)),
-      original.tree());
-  const uint64_t checksum = Fnv1a(section);
-  const std::string v1_path = TempPath("v1.tkdc");
-  std::ofstream out(v1_path, std::ios::binary);
-  out.write(contents.data(), 4);  // Magic.
-  const uint32_t version = 1;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(section.data(), static_cast<std::streamsize>(section.size()));
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.close();
+  const std::string single_path = TempPath("version_single.tkdc");
+  const std::string multi_path = TempPath("version_multi.tkdc");
+  ASSERT_TRUE(SaveModel(single_path, single, data, false, &error)) << error;
+  ASSERT_TRUE(SaveMultiClassModel(multi_path, multi, false, &error)) << error;
+  const std::string supported =
+      "reads version " + std::to_string(kModelFormatVersion) + " only";
+  for (const std::string& path : {single_path, multi_path}) {
+    ASSERT_NE(ProbeModelKind(path, &error), ModelKind::kInvalid) << error;
+    std::ifstream in(path, std::ios::binary);
+    const std::string pristine((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+    in.close();
+    for (const uint32_t version :
+         {1u, 2u, 3u, 4u, 5u, kModelFormatVersion + 1}) {
+      std::string contents = pristine;
+      std::memcpy(contents.data() + 4, &version, sizeof(version));
+      const std::string bad_path = TempPath("version_rewritten.tkdc");
+      std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+      out.write(contents.data(),
+                static_cast<std::streamsize>(contents.size()));
+      out.close();
+      const std::string found =
+          "unsupported model format version " + std::to_string(version);
+      const std::string where = path + " as version " + std::to_string(version);
 
-  auto loaded = LoadModel(v1_path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  EXPECT_EQ(loaded->name(), "tkdc");
-  EXPECT_DOUBLE_EQ(loaded->threshold(), original.threshold());
-  EXPECT_EQ(loaded->training_densities(), original.training_densities());
-  Rng rng(27);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> q{rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)};
-    EXPECT_EQ(loaded->Classify(q), original.Classify(q)) << "trial " << i;
-  }
-}
-
-TEST_F(ModelIoTest, ReadsVersionTwoFiles) {
-  // Version 2 added the algorithm tag but predates the index section and
-  // the index_backend config field. Same transformation as the v1 test,
-  // keeping the tag in place (the checksum covers tag + section). As in
-  // the v1 test, the backend is pinned to kd: legacy files predate the
-  // backend tag and the strip helper assumes kd geometry.
-  const Dataset data = TrainSet(28);
-  TkdcConfig config;
-  config.index_backend = IndexBackend::kKdTree;
-  TkdcClassifier original(config);
-  original.Train(data);
-  const std::string v3_path = TempPath("v3_for_v2.tkdc");
-  std::string error;
-  ASSERT_TRUE(SaveModel(v3_path, original, data, true, &error)) << error;
-  std::ifstream in(v3_path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  ASSERT_GT(contents.size(), 20u);
-  const std::string tag = contents.substr(8, 4);
-  const std::string section = StripIndexAdditions(
-      contents.substr(12, contents.size() - 12 - sizeof(uint64_t)),
-      original.tree());
-  const uint64_t checksum = Fnv1a(tag + section);
-  const std::string v2_path = TempPath("v2.tkdc");
-  std::ofstream out(v2_path, std::ios::binary);
-  out.write(contents.data(), 4);  // Magic.
-  const uint32_t version = 2;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  out.write(tag.data(), static_cast<std::streamsize>(tag.size()));
-  out.write(section.data(), static_cast<std::streamsize>(section.size()));
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  out.close();
-
-  auto loaded = LoadModel(v2_path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
-  EXPECT_EQ(loaded->name(), "tkdc");
-  EXPECT_DOUBLE_EQ(loaded->threshold(), original.threshold());
-  Rng rng(29);
-  for (int i = 0; i < 100; ++i) {
-    std::vector<double> q{rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)};
-    EXPECT_EQ(loaded->Classify(q), original.Classify(q)) << "trial " << i;
+      error.clear();
+      EXPECT_EQ(LoadAnyModel(bad_path, &error), nullptr) << where;
+      EXPECT_NE(error.find(found), std::string::npos) << where << ": " << error;
+      EXPECT_NE(error.find(supported), std::string::npos) << where;
+      error.clear();
+      EXPECT_EQ(LoadMultiClassModel(bad_path, &error), nullptr) << where;
+      EXPECT_NE(error.find(found), std::string::npos) << where << ": " << error;
+      EXPECT_NE(error.find(supported), std::string::npos) << where;
+      error.clear();
+      EXPECT_EQ(ProbeModelKind(bad_path, &error), ModelKind::kInvalid)
+          << where;
+      EXPECT_NE(error.find(found), std::string::npos) << where << ": " << error;
+      EXPECT_NE(error.find(supported), std::string::npos) << where;
+    }
   }
 }
 
 TEST_F(ModelIoTest, SoaMirrorRebuiltOnLoadMatchesWriter) {
   // The SoA leaf mirror is derived state: never serialized, rebuilt by the
-  // restore constructors, and cross-checked against the version-4
+  // restore constructors, and cross-checked against the stored layout
   // descriptor. The rebuilt layout must match the writer's exactly — same
   // leaf count, same padded extent, and bit-identical block contents —
   // so leaf scans on a loaded model reproduce the original's sums.
@@ -518,7 +455,7 @@ TEST_F(ModelIoTest, LoadRejectsCorruptSoaDescriptor) {
                        std::istreambuf_iterator<char>());
   in.close();
   // The tkdc section ends with the index section (whose last 24 bytes are
-  // the SoA descriptor) followed by the version-6 budget/coreset trailer
+  // the SoA descriptor) followed by the budget/coreset trailer
   // (4 doubles + u8 + u64 + double + u32 = 53 bytes), then the 8-byte
   // checksum.
   constexpr size_t kBudgetTrailerBytes =

@@ -1,4 +1,4 @@
-// Multi-class model container (tag 7, format v5): round-trip fidelity,
+// Multi-class model container (tag 7): round-trip fidelity,
 // loader dispatch (ProbeModelKind, cross-kind rejection), and targeted
 // corruption with the checksum recomputed — the semantic re-validation in
 // RestoreParts must reject what the FNV-1a trailer can no longer catch.
@@ -148,7 +148,7 @@ TEST_F(McModelIoTest, CrossKindLoadsAreRejectedWithGuidance) {
   EXPECT_NE(error.find("single-class"), std::string::npos) << error;
 }
 
-// Layout of the v5 container head: magic(4) version(4) tag(4) K(8), then
+// Layout of the container head: magic(4) version(4) tag(4) K(8), then
 // per class U64 label length + label bytes + F64 prior. With the 1-byte
 // labels "a","b","c" the first prior's bytes start at offset 29.
 constexpr size_t kFirstPriorOffset = 4 + 4 + 4 + 8 + 8 + 1;

@@ -118,7 +118,7 @@ TEST(ThresholdBootstrapTest, MultiModalDataStillBracketed) {
   Dataset data = mixture.Sample(3000, rng);
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data, 1.0));
-  KdTreeOptions options;
+  IndexOptions options;
   options.leaf_size = config.leaf_size;
   KdTree tree(data, options);
   ThresholdEstimator estimator(&config);
