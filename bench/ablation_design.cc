@@ -1,9 +1,10 @@
 // Design-choice ablations beyond the paper's figures: k-d tree split rule
 // x axis rule, leaf size, and kernel family, each measured on the standard
 // tmy3 d=4 workload. These back the DESIGN.md choices (trimmed-midpoint
-// splits with cycled axes, leaf size ~32, Gaussian kernel).
+// splits with cycled axes, leaf size 128, Gaussian kernel).
 
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "harness/runner.h"
@@ -48,7 +49,9 @@ int main(int argc, char** argv) {
 
   TkdcConfig base;
   base.seed = args.seed;
-  add("default (trimmed/cycle/leaf32/gauss)", base);
+  add("default (trimmed/cycle/leaf" + std::to_string(base.leaf_size) +
+          "/gauss)",
+      base);
 
   for (SplitRule rule : {SplitRule::kMedian, SplitRule::kMidpoint}) {
     TkdcConfig config = base;
@@ -60,7 +63,7 @@ int main(int argc, char** argv) {
     config.axis_rule = SplitAxisRule::kWidestExtent;
     add("axis=widest-extent", config);
   }
-  for (size_t leaf : {8u, 128u}) {
+  for (size_t leaf : {32u, 512u}) {
     TkdcConfig config = base;
     config.leaf_size = leaf;
     add("leaf_size=" + std::to_string(leaf), config);
@@ -84,9 +87,10 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\nFindings: trimmed-midpoint splits beat median (Section "
                "3.7 confirmed). Compact-support\nkernels (Epanechnikov) "
-               "are much SLOWER despite easier tree pruning: the grid "
-               "cache's\nsame-cell bound K(cell diagonal) is zero once the "
-               "scaled diagonal sqrt(d) exceeds the\nsupport radius 1, so "
-               "the grid never fires for them at d >= 1.\n";
+               "are SLOWER despite easier tree pruning: t(p) is 0 up to\n"
+               "round-off here (over 1% of rows have no neighbor inside the "
+               "support), so neither\nrule stops a traversal early, and the "
+               "grid cache's same-cell bound K(cell diagonal)\nis zero once "
+               "the scaled diagonal sqrt(d) exceeds the support radius 1.\n";
   return 0;
 }

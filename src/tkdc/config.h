@@ -59,8 +59,11 @@ struct TkdcConfig {
   SplitRule split_rule = SplitRule::kTrimmedMidpoint;
   /// Index axis rule (paper default: cycle through dimensions).
   SplitAxisRule axis_rule = SplitAxisRule::kCycle;
-  /// Index leaf capacity.
-  size_t leaf_size = 32;
+  /// Index leaf capacity. One node expansion costs about as much as ~18
+  /// SIMD leaf points, so leaves of 128 beat the former 32: a sweep over
+  /// 32..512 (DESIGN.md §11) put 128 at or near the best train time and
+  /// per-row cost on both backends at d = 2 to 10.
+  size_t leaf_size = 128;
 
   // --- Threshold bootstrap (Algorithm 3) ---
   /// Initial training subsample size r0.

@@ -9,6 +9,7 @@
 #include "common/order_stats.h"
 #include "common/rng.h"
 #include "kde/bandwidth.h"
+#include "kde/batch_executor.h"
 
 namespace tkdc {
 namespace {
@@ -42,6 +43,17 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
   size_t r = std::min(config_->r0, n);
   size_t backoffs_this_level = 0;
 
+  // Each level's query sample fans out over the executor. Densities are
+  // written by sample index and sorted afterwards, and the counters fold as
+  // plain sums into `sink`, so every level's outcome is bit-identical at
+  // any thread count; with one thread the executor runs the serial loop on
+  // `sink` itself.
+  BatchExecutor executor(config_->ResolvedNumThreads());
+  const BatchExecutor::ContextFactory make_context = [] {
+    return std::make_unique<TreeQueryContext>();
+  };
+  TreeQueryContext sink;
+
   for (;;) {
     // Training subsample X_r; the final level reuses the full index.
     const bool full_level = r == n;
@@ -74,20 +86,20 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
         kernel->MaxValue() / static_cast<double>(r);
 
     const DensityBoundEvaluator evaluator(tree, kernel, config_);
-    TreeQueryContext ctx;
-    std::vector<double> densities;
-    densities.reserve(s);
+    std::vector<double> densities(s);
     // t_lo/t_hi live in self-corrected space; the traversal bounds raw
     // densities, so shift by the subsample's self-contribution and keep
     // the tolerance at eps * t_lo in corrected units.
     const double tolerance = eps_traversal * t_lo;
-    for (size_t row : query_rows) {
-      const DensityBounds bounds = evaluator.BoundDensity(
-          ctx, train->Row(row), t_lo + self_contribution,
-          t_hi + self_contribution, tolerance);
-      densities.push_back(bounds.Midpoint() - self_contribution);
-    }
-    result.stats.Add(ctx.stats);
+    executor.Map(
+        s, BatchExecutor::kDefaultMinChunk, make_context,
+        [&](QueryContext& ctx, size_t k) {
+          const DensityBounds bounds = evaluator.BoundDensity(
+              static_cast<TreeQueryContext&>(ctx), train->Row(query_rows[k]),
+              t_lo + self_contribution, t_hi + self_contribution, tolerance);
+          densities[k] = bounds.Midpoint() - self_contribution;
+        },
+        sink);
     std::sort(densities.begin(), densities.end());
     ++result.iterations;
 
@@ -101,13 +113,24 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
     // bounds the densities were computed under, otherwise the bounds were
     // too tight and the near-threshold densities are unreliable. Rounds
     // evaluated with the trivial bounds (0, inf) are exact and always valid.
+    // With t_lo = 0 no lower rule can fire (tolerance 0, and a training
+    // row's raw density never falls below its own self-contribution), so
+    // the lower side is exact and a slightly negative d_lower is round-off.
     const bool was_unbounded = t_lo == 0.0 && std::isinf(t_hi);
     const bool upper_invalid = d_upper > t_hi;
-    const bool lower_invalid = d_lower < t_lo;
+    const bool lower_invalid = t_lo > 0.0 && d_lower < t_lo;
     if (!was_unbounded && (upper_invalid || lower_invalid)) {
       if (backoffs_this_level < kMaxBackoffsPerLevel) {
-        if (upper_invalid) t_hi *= config_->h_backoff;
-        if (lower_invalid) t_lo /= config_->h_backoff;
+        // A multiplicative step cannot leave t_hi = 0, and from a bound at
+        // round-off level (a compact kernel's zero quantile) it needs ~20
+        // steps. So t_hi grows at least to the rank it just missed, and
+        // t_lo drops to 0 when the rank it missed is not positive.
+        if (upper_invalid) {
+          t_hi = std::max(t_hi * config_->h_backoff, d_upper);
+        }
+        if (lower_invalid) {
+          t_lo = d_lower > 0.0 ? t_lo / config_->h_backoff : 0.0;
+        }
       } else {
         // Pathological level: retry once with unbounded (exact) evaluation.
         t_lo = 0.0;
@@ -121,6 +144,7 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
     if (full_level) {
       result.lower = std::max(0.0, d_lower);
       result.upper = d_upper;
+      result.stats = sink.stats;
       return result;
     }
 

@@ -43,7 +43,9 @@ class ThresholdEstimator {
 
   /// Runs the bootstrap over `data`. `full_tree` and `full_kernel` must be
   /// the index and kernel over the complete `data`; the final iteration
-  /// (r = n) reuses them instead of rebuilding.
+  /// (r = n) reuses them instead of rebuilding. Each level's query sample
+  /// runs on `config->num_threads` workers (kde/batch_executor.h); the
+  /// result is bit-identical at every thread count.
   ThresholdBootstrapResult Bootstrap(const Dataset& data,
                                      const SpatialIndex& full_tree,
                                      const Kernel& full_kernel);

@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/rkde.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "index/index_backend.h"
 #include "tkdc/classifier.h"
+#include "tkdc/multi_threshold.h"
 
 namespace tkdc {
 namespace {
@@ -41,6 +44,8 @@ struct Snapshot {
   double threshold;
   double threshold_lower;
   double threshold_upper;
+  size_t bootstrap_iterations;
+  size_t bootstrap_backoffs;
   std::vector<double> training_densities;
   uint64_t train_grid_prunes;
   TraversalStats train_stats;
@@ -50,11 +55,12 @@ struct Snapshot {
   TraversalStats total_stats;
 };
 
-Snapshot RunWithThreads(size_t num_threads) {
+Snapshot RunWithThreads(size_t num_threads, IndexBackend backend) {
   const Dataset data = TrainingData();
   const Dataset fresh = FreshQueries();
   TkdcConfig config;
   config.num_threads = num_threads;
+  config.index_backend = backend;
   TkdcClassifier classifier(config);
   classifier.Train(data);
 
@@ -62,6 +68,8 @@ Snapshot RunWithThreads(size_t num_threads) {
   snap.threshold = classifier.threshold();
   snap.threshold_lower = classifier.threshold_lower();
   snap.threshold_upper = classifier.threshold_upper();
+  snap.bootstrap_iterations = classifier.bootstrap_result().iterations;
+  snap.bootstrap_backoffs = classifier.bootstrap_result().backoffs;
   snap.training_densities = classifier.training_densities();
   snap.train_grid_prunes = classifier.grid_prunes();
   snap.train_stats = classifier.traversal_stats();
@@ -79,16 +87,13 @@ void ExpectStatsEqual(const TraversalStats& a, const TraversalStats& b) {
   EXPECT_EQ(a.queries, b.queries);
 }
 
-class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(ParallelEquivalenceTest, MatchesSerialBitForBit) {
-  const Snapshot serial = RunWithThreads(1);
-  const Snapshot parallel = RunWithThreads(GetParam());
-
+void ExpectSnapshotsEqual(const Snapshot& serial, const Snapshot& parallel) {
   // Trained state: thresholds and every training density, exactly.
   EXPECT_EQ(serial.threshold, parallel.threshold);
   EXPECT_EQ(serial.threshold_lower, parallel.threshold_lower);
   EXPECT_EQ(serial.threshold_upper, parallel.threshold_upper);
+  EXPECT_EQ(serial.bootstrap_iterations, parallel.bootstrap_iterations);
+  EXPECT_EQ(serial.bootstrap_backoffs, parallel.bootstrap_backoffs);
   ASSERT_EQ(serial.training_densities.size(),
             parallel.training_densities.size());
   for (size_t i = 0; i < serial.training_densities.size(); ++i) {
@@ -106,6 +111,17 @@ TEST_P(ParallelEquivalenceTest, MatchesSerialBitForBit) {
   EXPECT_EQ(serial.fresh_labels, parallel.fresh_labels);
   EXPECT_EQ(serial.total_grid_prunes, parallel.total_grid_prunes);
   ExpectStatsEqual(serial.total_stats, parallel.total_stats);
+}
+
+class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ParallelEquivalenceTest, MatchesSerialBitForBit) {
+  for (const IndexBackend backend :
+       {IndexBackend::kKdTree, IndexBackend::kBallTree}) {
+    SCOPED_TRACE(IndexBackendName(backend));
+    ExpectSnapshotsEqual(RunWithThreads(1, backend),
+                         RunWithThreads(GetParam(), backend));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
@@ -152,6 +168,37 @@ TEST(ParallelEquivalenceTest, BatchAgreesWithPerPointCalls) {
   // The query box straddles the threshold contour: both labels occur.
   EXPECT_GT(high, 0u);
   EXPECT_LT(high, fresh.size());
+}
+
+// rkde's auto radius and the multi-threshold ladder both come out of the
+// bootstrap, which fans out over config.num_threads.
+TEST(ParallelEquivalenceTest, RkdeAutoRadiusMatchesSerial) {
+  const Dataset data = TrainingData();
+  std::vector<double> radius_sq;
+  std::vector<double> thresholds;
+  for (const size_t threads : {1u, 4u}) {
+    RkdeOptions options;
+    options.base.num_threads = threads;
+    RkdeClassifier classifier(options);
+    classifier.Train(data);
+    radius_sq.push_back(classifier.radius_scaled_squared());
+    thresholds.push_back(classifier.threshold());
+  }
+  EXPECT_EQ(radius_sq[0], radius_sq[1]);
+  EXPECT_EQ(thresholds[0], thresholds[1]);
+}
+
+TEST(ParallelEquivalenceTest, MultiThresholdMatchesSerial) {
+  const Dataset data = TrainingData();
+  std::vector<std::vector<double>> thresholds;
+  for (const size_t threads : {1u, 4u}) {
+    TkdcConfig config;
+    config.num_threads = threads;
+    MultiThresholdClassifier classifier(config, {0.01, 0.1, 0.5});
+    classifier.Train(data);
+    thresholds.push_back(classifier.thresholds());
+  }
+  EXPECT_EQ(thresholds[0], thresholds[1]);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "data/datasets.h"
 #include "data/generators.h"
+#include "index/index_backend.h"
 #include "index/kdtree.h"
 #include "kde/bandwidth.h"
 #include "kde/naive_kde.h"
@@ -18,10 +21,18 @@ namespace {
 struct BootstrapFixture {
   BootstrapFixture(size_t n, size_t dims, uint64_t seed,
                    TkdcConfig cfg = TkdcConfig()) {
+    Rng rng(seed);
+    Init(SampleStandardGaussian(n, dims, rng), seed, cfg);
+  }
+
+  BootstrapFixture(Dataset points, uint64_t seed, TkdcConfig cfg) {
+    Init(std::move(points), seed, cfg);
+  }
+
+  void Init(Dataset points, uint64_t seed, const TkdcConfig& cfg) {
     config = cfg;
     config.seed = seed;
-    Rng rng(seed);
-    data = std::make_unique<Dataset>(SampleStandardGaussian(n, dims, rng));
+    data = std::make_unique<Dataset>(std::move(points));
     kernel = std::make_unique<Kernel>(
         config.kernel, SelectBandwidths(config.bandwidth_rule, *data,
                                         config.bandwidth_scale));
@@ -148,6 +159,74 @@ TEST(ThresholdBootstrapTest, StatsAreCollected) {
   const auto result = estimator.Bootstrap(*f.data, *f.tree, *f.kernel);
   EXPECT_GT(result.stats.kernel_evaluations, 0u);
   EXPECT_GT(result.stats.queries, 0u);
+}
+
+TEST(ThresholdBootstrapTest, IdenticalAcrossThreadCounts) {
+  // n = 12,800 runs the levels r = 200, 800, 3,200 and 12,800. From r = 800
+  // on, the sample splits into several chunks per slot even at 8 threads,
+  // so slots interleave their writes into the density vector.
+  for (const IndexBackend backend :
+       {IndexBackend::kKdTree, IndexBackend::kBallTree}) {
+    SCOPED_TRACE(IndexBackendName(backend));
+    ThresholdBootstrapResult serial;
+    for (const size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      TkdcConfig config;
+      config.index_backend = backend;
+      config.num_threads = threads;
+      BootstrapFixture f(12800, 2, 11, config);
+      ThresholdEstimator estimator(&f.config);
+      const ThresholdBootstrapResult result =
+          estimator.Bootstrap(*f.data, *f.tree, *f.kernel);
+      if (threads == 1) {
+        serial = result;
+        EXPECT_EQ(result.iterations, 4u + result.backoffs);
+        continue;
+      }
+      EXPECT_EQ(result.lower, serial.lower);
+      EXPECT_EQ(result.upper, serial.upper);
+      EXPECT_EQ(result.iterations, serial.iterations);
+      EXPECT_EQ(result.backoffs, serial.backoffs);
+      EXPECT_EQ(result.stats.kernel_evaluations,
+                serial.stats.kernel_evaluations);
+      EXPECT_EQ(result.stats.nodes_expanded, serial.stats.nodes_expanded);
+      EXPECT_EQ(result.stats.leaf_points_evaluated,
+                serial.stats.leaf_points_evaluated);
+      EXPECT_EQ(result.stats.queries, serial.stats.queries);
+    }
+  }
+}
+
+TEST(ThresholdBootstrapTest, ZeroUpperRankDoesNotExhaustBackoffs) {
+  // A compact kernel leaves more than p of a small subsample's densities at
+  // 0, so the level's upper confidence rank is 0 (tmy3 d=4, k-d tree) or
+  // round-off (~1e-16 where the next level's rank is ~1e-3: gauss d=2,
+  // ball tree), and the next level runs under that t_hi. Multiplying by
+  // h_backoff never lifts 0 and needs ~20 steps from round-off: these
+  // bootstraps used 31 and 32 backoffs before the backoff grew t_hi to the
+  // rank it missed.
+  struct Case {
+    DatasetId dataset;
+    size_t n;
+    size_t dims;
+    IndexBackend backend;
+  };
+  for (const Case& c : {Case{DatasetId::kTmy3, 5000, 4, IndexBackend::kKdTree},
+                        Case{DatasetId::kGauss, 20000, 2,
+                             IndexBackend::kBallTree}}) {
+    SCOPED_TRACE(IndexBackendName(c.backend));
+    TkdcConfig config;
+    config.kernel = KernelType::kEpanechnikov;
+    config.index_backend = c.backend;
+    config.num_threads = 1;
+    BootstrapFixture f(MakeDataset(c.dataset, c.n, c.dims, 1), 1, config);
+    ThresholdEstimator estimator(&f.config);
+    const ThresholdBootstrapResult result =
+        estimator.Bootstrap(*f.data, *f.tree, *f.kernel);
+    EXPECT_LE(result.backoffs, 4u);
+    EXPECT_GE(result.upper, result.lower);
+    EXPECT_GT(result.upper, 0.0);
+  }
 }
 
 }  // namespace
