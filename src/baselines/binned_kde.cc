@@ -225,48 +225,26 @@ double BinnedKdeClassifier::Interpolate(const BinnedKdeModel& m,
 }
 
 Classification BinnedKdeClassifier::ClassifyInContext(
-    QueryContext& ctx, std::span<const double> x, bool training) const {
+    QueryContext& ctx, std::span<const double> x, bool training,
+    const DeltaOverlay* overlay) const {
   TKDC_CHECK_MSG(trained(), "Classify called before Train");
+  const BinnedKdeModel& m = *model_;
   ++ctx.stats.queries;
-  const double correction = training ? model_->self_contribution : 0.0;
-  return Interpolate(*model_, x) - correction > model_->threshold
+  double self = m.self_contribution;
+  const double density =
+      MergeOverlay(overlay, m.n, *m.kernel, x, Interpolate(m, x), ctx, &self);
+  return density - (training ? self : 0.0) > m.threshold
              ? Classification::kHigh
              : Classification::kLow;
 }
 
 double BinnedKdeClassifier::EstimateDensityInContext(
-    QueryContext& ctx, std::span<const double> x) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
-  ++ctx.stats.queries;
-  return Interpolate(*model_, x);
-}
-
-Classification BinnedKdeClassifier::ClassifyOverlayInContext(
-    QueryContext& ctx, std::span<const double> x, bool training,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "ClassifyWithOverlay called before Train");
-  const BinnedKdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.n, *m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
-  ++ctx.stats.queries;
-  const double merged = fold.Merge(Interpolate(m, x));
-  const double correction =
-      training ? m.self_contribution * fold.scale : 0.0;
-  return merged - correction > m.threshold ? Classification::kHigh
-                                           : Classification::kLow;
-}
-
-double BinnedKdeClassifier::EstimateDensityOverlayInContext(
     QueryContext& ctx, std::span<const double> x,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensityWithOverlay called before Train");
+    const DeltaOverlay* overlay) const {
+  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
   const BinnedKdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.n, *m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
   ++ctx.stats.queries;
-  return fold.Merge(Interpolate(m, x));
+  return MergeOverlay(overlay, m.n, *m.kernel, x, Interpolate(m, x), ctx);
 }
 
 double BinnedKdeClassifier::threshold() const {

@@ -76,10 +76,11 @@ class BinnedKdeClassifier : public DensityClassifier {
     return std::make_unique<QueryContext>();
   }
   Classification ClassifyInContext(QueryContext& ctx,
-                                   std::span<const double> x,
-                                   bool training) const override;
+                                   std::span<const double> x, bool training,
+                                   const DeltaOverlay* overlay) const override;
   double EstimateDensityInContext(QueryContext& ctx,
-                                  std::span<const double> x) const override;
+                                  std::span<const double> x,
+                                  const DeltaOverlay* overlay) const override;
 
   /// Streaming: the overlay's exact signed kernel sum folds into the
   /// interpolated base density (the base half keeps the grid's usual
@@ -88,12 +89,6 @@ class BinnedKdeClassifier : public DensityClassifier {
   /// layer cannot *rebuild* a binned model from its overlay — INSERT and
   /// DELETE still work, FLUSH reports the limitation.
   bool supports_overlay() const override { return true; }
-  Classification ClassifyOverlayInContext(
-      QueryContext& ctx, std::span<const double> x, bool training,
-      const DeltaOverlay& overlay) const override;
-  double EstimateDensityOverlayInContext(
-      QueryContext& ctx, std::span<const double> x,
-      const DeltaOverlay& overlay) const override;
 
   const BinnedKdeOptions& options() const { return options_; }
   const BinnedKdeModel& model() const { return *model_; }

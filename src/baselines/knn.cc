@@ -103,9 +103,9 @@ double KnnClassifier::KthNeighborDistance(std::span<const double> x,
   return KthDistance(*model_, ctx, options_.k, x, training);
 }
 
-Classification KnnClassifier::ClassifyInContext(QueryContext& ctx,
-                                                std::span<const double> x,
-                                                bool training) const {
+Classification KnnClassifier::ClassifyInContext(
+    QueryContext& ctx, std::span<const double> x, bool training,
+    const DeltaOverlay* /*overlay*/) const {
   TKDC_CHECK_MSG(trained(), "Classify called before Train");
   return Density(*model_, static_cast<KnnQueryContext&>(ctx), x, training) >
                  model_->threshold
@@ -114,7 +114,8 @@ Classification KnnClassifier::ClassifyInContext(QueryContext& ctx,
 }
 
 double KnnClassifier::EstimateDensityInContext(
-    QueryContext& ctx, std::span<const double> x) const {
+    QueryContext& ctx, std::span<const double> x,
+    const DeltaOverlay* /*overlay*/) const {
   TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
   return Density(*model_, static_cast<KnnQueryContext&>(ctx), x,
                  /*training=*/false);

@@ -81,16 +81,18 @@ class KnnClassifier : public DensityClassifier {
   std::unique_ptr<QueryContext> MakeQueryContext() const override {
     return std::make_unique<KnnQueryContext>();
   }
-  Classification ClassifyInContext(QueryContext& ctx,
-                                   std::span<const double> x,
-                                   bool training) const override;
-  double EstimateDensityInContext(QueryContext& ctx,
-                                  std::span<const double> x) const override;
-
   /// Streaming: the knn density is an order statistic of distances, not an
   /// additive kernel sum, so a DeltaOverlay cannot fold in — the inherited
-  /// supports_overlay() stays false and the serving layer rejects INSERT /
-  /// DELETE for knn models. The training points are still exportable.
+  /// supports_overlay() stays false, the facade never passes an overlay to
+  /// these hooks, and the serving layer rejects INSERT / DELETE for knn
+  /// models. The training points are still exportable.
+  Classification ClassifyInContext(QueryContext& ctx,
+                                   std::span<const double> x, bool training,
+                                   const DeltaOverlay* overlay) const override;
+  double EstimateDensityInContext(QueryContext& ctx,
+                                  std::span<const double> x,
+                                  const DeltaOverlay* overlay) const override;
+
   bool ExportTrainingData(Dataset* out) const override;
 
   const KnnOptions& options() const { return options_; }

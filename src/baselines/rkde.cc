@@ -162,49 +162,28 @@ void RkdeClassifier::Train(const Dataset& data) {
   ResetQueryState();
 }
 
-Classification RkdeClassifier::ClassifyInContext(QueryContext& ctx,
-                                                 std::span<const double> x,
-                                                 bool training) const {
+Classification RkdeClassifier::ClassifyInContext(
+    QueryContext& ctx, std::span<const double> x, bool training,
+    const DeltaOverlay* overlay) const {
   TKDC_CHECK_MSG(trained(), "Classify called before Train");
-  const double correction = training ? model_->self_contribution : 0.0;
-  return RadialDensity(*model_, static_cast<TreeQueryContext&>(ctx), x) -
-                     correction >
-                 model_->threshold
+  const RkdeModel& m = *model_;
+  double self = m.self_contribution;
+  const double density = MergeOverlay(
+      overlay, m.tree->size(), *m.kernel, x,
+      RadialDensity(m, static_cast<TreeQueryContext&>(ctx), x), ctx, &self);
+  return density - (training ? self : 0.0) > m.threshold
              ? Classification::kHigh
              : Classification::kLow;
 }
 
 double RkdeClassifier::EstimateDensityInContext(
-    QueryContext& ctx, std::span<const double> x) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
-  return RadialDensity(*model_, static_cast<TreeQueryContext&>(ctx), x);
-}
-
-Classification RkdeClassifier::ClassifyOverlayInContext(
-    QueryContext& ctx, std::span<const double> x, bool training,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "ClassifyWithOverlay called before Train");
-  const RkdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.tree->size(), *m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
-  const double merged = fold.Merge(
-      RadialDensity(m, static_cast<TreeQueryContext&>(ctx), x));
-  const double correction =
-      training ? m.self_contribution * fold.scale : 0.0;
-  return merged - correction > m.threshold ? Classification::kHigh
-                                           : Classification::kLow;
-}
-
-double RkdeClassifier::EstimateDensityOverlayInContext(
     QueryContext& ctx, std::span<const double> x,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensityWithOverlay called before Train");
+    const DeltaOverlay* overlay) const {
+  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
   const RkdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.tree->size(), *m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
-  return fold.Merge(RadialDensity(m, static_cast<TreeQueryContext&>(ctx), x));
+  return MergeOverlay(overlay, m.tree->size(), *m.kernel, x,
+                      RadialDensity(m, static_cast<TreeQueryContext&>(ctx), x),
+                      ctx);
 }
 
 bool RkdeClassifier::ExportTrainingData(Dataset* out) const {

@@ -68,21 +68,16 @@ class RkdeClassifier : public DensityClassifier {
     return std::make_unique<TreeQueryContext>();
   }
   Classification ClassifyInContext(QueryContext& ctx,
-                                   std::span<const double> x,
-                                   bool training) const override;
+                                   std::span<const double> x, bool training,
+                                   const DeltaOverlay* overlay) const override;
   double EstimateDensityInContext(QueryContext& ctx,
-                                  std::span<const double> x) const override;
+                                  std::span<const double> x,
+                                  const DeltaOverlay* overlay) const override;
 
   /// Streaming: the truncated radial sum is additive, so the overlay folds
   /// in like every kernel-sum engine. The overlay half is an exact (not
   /// radius-truncated) scan — strictly tighter than the base estimate.
   bool supports_overlay() const override { return true; }
-  Classification ClassifyOverlayInContext(
-      QueryContext& ctx, std::span<const double> x, bool training,
-      const DeltaOverlay& overlay) const override;
-  double EstimateDensityOverlayInContext(
-      QueryContext& ctx, std::span<const double> x,
-      const DeltaOverlay& overlay) const override;
   bool ExportTrainingData(Dataset* out) const override;
 
   const RkdeOptions& options() const { return options_; }

@@ -62,45 +62,25 @@ void SimpleKdeClassifier::Train(const Dataset& data) {
 }
 
 Classification SimpleKdeClassifier::ClassifyInContext(
-    QueryContext& ctx, std::span<const double> x, bool training) const {
+    QueryContext& ctx, std::span<const double> x, bool training,
+    const DeltaOverlay* overlay) const {
   TKDC_CHECK_MSG(trained(), "Classify called before Train");
-  const double correction = training ? model_->self_contribution : 0.0;
-  return ScanDensity(*model_, ctx, x) - correction > model_->threshold
+  const SimpleKdeModel& m = *model_;
+  double self = m.self_contribution;
+  const double density = MergeOverlay(overlay, m.data.size(), m.kernel, x,
+                                      ScanDensity(m, ctx, x), ctx, &self);
+  return density - (training ? self : 0.0) > m.threshold
              ? Classification::kHigh
              : Classification::kLow;
 }
 
 double SimpleKdeClassifier::EstimateDensityInContext(
-    QueryContext& ctx, std::span<const double> x) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
-  return ScanDensity(*model_, ctx, x);
-}
-
-Classification SimpleKdeClassifier::ClassifyOverlayInContext(
-    QueryContext& ctx, std::span<const double> x, bool training,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "ClassifyWithOverlay called before Train");
-  const SimpleKdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.data.size(), m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
-  const double merged = fold.Merge(ScanDensity(m, ctx, x));
-  // Training points discount K(0)/n_eff; self_contribution is K(0)/n_b.
-  const double correction =
-      training ? m.self_contribution * fold.scale : 0.0;
-  return merged - correction > m.threshold ? Classification::kHigh
-                                           : Classification::kLow;
-}
-
-double SimpleKdeClassifier::EstimateDensityOverlayInContext(
     QueryContext& ctx, std::span<const double> x,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensityWithOverlay called before Train");
+    const DeltaOverlay* overlay) const {
+  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
   const SimpleKdeModel& m = *model_;
-  const OverlayContribution fold = ComputeOverlayContribution(
-      overlay, m.data.size(), m.kernel, x, /*fast_math=*/false);
-  ctx.stats.kernel_evaluations += fold.evaluations;
-  return fold.Merge(ScanDensity(m, ctx, x));
+  return MergeOverlay(overlay, m.data.size(), m.kernel, x,
+                      ScanDensity(m, ctx, x), ctx);
 }
 
 bool SimpleKdeClassifier::ExportTrainingData(Dataset* out) const {

@@ -68,21 +68,16 @@ class SimpleKdeClassifier : public DensityClassifier {
     return std::make_unique<QueryContext>();
   }
   Classification ClassifyInContext(QueryContext& ctx,
-                                   std::span<const double> x,
-                                   bool training) const override;
+                                   std::span<const double> x, bool training,
+                                   const DeltaOverlay* overlay) const override;
   double EstimateDensityInContext(QueryContext& ctx,
-                                  std::span<const double> x) const override;
+                                  std::span<const double> x,
+                                  const DeltaOverlay* overlay) const override;
 
   /// Streaming: the scan density is an additive kernel sum, so the overlay
   /// fold (n_b * f + Delta) / n_eff is exact — the one engine whose merged
   /// answers carry no approximation at all.
   bool supports_overlay() const override { return true; }
-  Classification ClassifyOverlayInContext(
-      QueryContext& ctx, std::span<const double> x, bool training,
-      const DeltaOverlay& overlay) const override;
-  double EstimateDensityOverlayInContext(
-      QueryContext& ctx, std::span<const double> x,
-      const DeltaOverlay& overlay) const override;
   bool ExportTrainingData(Dataset* out) const override;
 
   const SimpleKdeOptions& options() const { return options_; }

@@ -102,4 +102,16 @@ OverlayContribution ComputeOverlayContribution(const DeltaOverlay& overlay,
   return fold;
 }
 
+double MergeOverlay(const DeltaOverlay* overlay, size_t base_n,
+                    const Kernel& kernel, std::span<const double> x,
+                    double base_density, QueryContext& ctx,
+                    double* self_contribution) {
+  if (overlay == nullptr) return base_density;
+  const OverlayContribution fold = ComputeOverlayContribution(
+      *overlay, base_n, kernel, x, /*fast_math=*/false);
+  ctx.stats.kernel_evaluations += fold.evaluations;
+  if (self_contribution != nullptr) *self_contribution *= fold.scale;
+  return fold.Merge(base_density);
+}
+
 }  // namespace tkdc

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kde/kernel.h"
+#include "kde/query_context.h"
 
 namespace tkdc {
 
@@ -150,6 +151,19 @@ OverlayContribution ComputeOverlayContribution(const DeltaOverlay& overlay,
                                                const Kernel& kernel,
                                                std::span<const double> x,
                                                bool fast_math);
+
+/// A kernel-sum engine's answer at `x` with an optional overlay folded in.
+/// A null overlay passes `base_density` through untouched; otherwise the
+/// result is the fold's Merge(base_density) against a base model of
+/// `base_n` points, and the overlay scan's kernel evaluations are booked
+/// into `ctx`. When `self_contribution` is given it is rescaled from the
+/// base model's K(0)/n_b to the merged model's K(0)/n_eff, the self-term a
+/// training point discounts. The overlay half is an exact scan (no
+/// fast-math).
+double MergeOverlay(const DeltaOverlay* overlay, size_t base_n,
+                    const Kernel& kernel, std::span<const double> x,
+                    double base_density, QueryContext& ctx,
+                    double* self_contribution = nullptr);
 
 }  // namespace tkdc
 

@@ -1,6 +1,7 @@
 #include "kde/density_classifier.h"
 
 #include "common/macros.h"
+#include "kde/delta_overlay.h"
 
 namespace tkdc {
 
@@ -32,42 +33,15 @@ void DensityClassifier::FlushMetrics() {
   live_context_->metrics->Reset();
 }
 
-Classification DensityClassifier::ClassifyOverlayInContext(
-    QueryContext&, std::span<const double>, bool, const DeltaOverlay&) const {
-  TKDC_CHECK_MSG(false, "this engine does not support delta overlays");
-}
-
-double DensityClassifier::EstimateDensityOverlayInContext(
-    QueryContext&, std::span<const double>, const DeltaOverlay&) const {
-  TKDC_CHECK_MSG(false, "this engine does not support delta overlays");
-}
-
-std::vector<Classification> DensityClassifier::ClassifyBatchWithOverlay(
-    const Dataset& queries, const DeltaOverlay& overlay, bool training) {
-  TKDC_CHECK_MSG(trained(), "ClassifyBatchWithOverlay called before Train");
+const DeltaOverlay* DensityClassifier::StagedOverlay(
+    const DeltaOverlay& overlay) const {
   TKDC_CHECK_MSG(supports_overlay(),
                  "this engine does not support delta overlays");
-  if (queries.size() == 0) return {};
-  TKDC_CHECK_MSG(queries.dims() == dims(),
-                 "query dimensionality does not match the trained model");
-  std::vector<Classification> labels(queries.size());
-  executor_.Map(
-      queries.size(), BatchExecutor::kDefaultMinChunk,
-      [this] {
-        auto ctx = MakeQueryContext();
-        AttachShard(*ctx);
-        return ctx;
-      },
-      [&](QueryContext& ctx, size_t row) {
-        labels[row] =
-            ObservedClassifyOverlay(ctx, queries.Row(row), training, overlay);
-      },
-      live_context());
-  return labels;
+  return overlay.snapshot().empty() ? nullptr : &overlay;
 }
 
 std::vector<Classification> DensityClassifier::ClassifyBatchImpl(
-    const Dataset& queries, bool training) {
+    const Dataset& queries, bool training, const DeltaOverlay* overlay) {
   TKDC_CHECK_MSG(trained(), "ClassifyBatch called before Train");
   // An empty batch is a no-op regardless of how the (dimensionless) empty
   // dataset was constructed, so the dims check must not fire on it.
@@ -83,7 +57,9 @@ std::vector<Classification> DensityClassifier::ClassifyBatchImpl(
         return ctx;
       },
       [&](QueryContext& ctx, size_t row) {
-        labels[row] = ObservedClassify(ctx, queries.Row(row), training);
+        const std::span<const double> x = queries.Row(row);
+        labels[row] = Observed(
+            ctx, [&] { return ClassifyInContext(ctx, x, training, overlay); });
       },
       live_context());
   return labels;

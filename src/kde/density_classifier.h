@@ -101,16 +101,30 @@ class DensityClassifier {
   /// point must discount its own kernel contribution — otherwise, for
   /// small n or higher d, the self-term alone can mark every training
   /// point HIGH.
+  ///
+  /// `overlay` is null for the base model. Otherwise it holds staged
+  /// streaming mutations (kde/delta_overlay.h) and the engine answers for
+  /// the *merged* model: with n_b base points and
+  /// n_eff = n_b + inserted - tombstones, the decision density is
+  /// f'(x) = (n_b * f_base(x) + Delta(x)) / n_eff, compared to the trained
+  /// threshold (self-corrected by K(0)/n_eff when `training`). The facade
+  /// passes a non-null overlay only when supports_overlay() and something
+  /// is staged, so no engine tests for emptiness itself.
   virtual Classification ClassifyInContext(QueryContext& ctx,
                                            std::span<const double> x,
-                                           bool training) const = 0;
+                                           bool training,
+                                           const DeltaOverlay* overlay)
+      const = 0;
 
   /// Point estimate of the density at `x` (midpoint of bounds for bounded
-  /// algorithms). Used by the accuracy experiments.
+  /// algorithms), of the merged model when `overlay` is non-null (same
+  /// contract as ClassifyInContext). Used by the accuracy experiments.
   virtual double EstimateDensityInContext(QueryContext& ctx,
-                                          std::span<const double> x) const = 0;
+                                          std::span<const double> x,
+                                          const DeltaOverlay* overlay)
+      const = 0;
 
-  // --- Streaming hooks (kde/delta_overlay.h) ----------------------------
+  // --- Streaming (kde/delta_overlay.h) ----------------------------------
 
   /// Whether this engine can fold a DeltaOverlay of staged inserts and
   /// deletions into its answers. Engines whose density is an additive
@@ -118,22 +132,6 @@ class DensityClassifier {
   /// knn's order-statistic density has no additive decomposition, so it
   /// stays false and the serving layer rejects streaming verbs for it.
   virtual bool supports_overlay() const { return false; }
-
-  /// ClassifyInContext against the *merged* model base + overlay: with n_b
-  /// base points and n_eff = n_b + inserted - tombstones, the decision
-  /// density is f'(x) = (n_b * f_base(x) + Delta(x)) / n_eff, compared to
-  /// the trained threshold (self-corrected by K(0)/n_eff when `training`).
-  /// Only callable when supports_overlay(); the default aborts.
-  virtual Classification ClassifyOverlayInContext(QueryContext& ctx,
-                                                  std::span<const double> x,
-                                                  bool training,
-                                                  const DeltaOverlay& overlay)
-      const;
-
-  /// EstimateDensityInContext for the merged model; default aborts.
-  virtual double EstimateDensityOverlayInContext(
-      QueryContext& ctx, std::span<const double> x,
-      const DeltaOverlay& overlay) const;
 
   /// Copies the training rows (original row order) into `*out`, replacing
   /// its contents — the base half of a streaming rebuild's merged dataset.
@@ -146,7 +144,7 @@ class DensityClassifier {
   /// Classifies a fresh query point in the live context.
   Classification Classify(std::span<const double> x) {
     TKDC_CHECK_MSG(trained(), "Classify called before Train");
-    return ObservedClassify(live_context(), x, /*training=*/false);
+    return ClassifyPoint(x, /*training=*/false, nullptr);
   }
 
   /// Classifies a point that belongs to the training set (self-corrected;
@@ -154,50 +152,53 @@ class DensityClassifier {
   /// the dataset against itself).
   Classification ClassifyTraining(std::span<const double> x) {
     TKDC_CHECK_MSG(trained(), "ClassifyTraining called before Train");
-    return ObservedClassify(live_context(), x, /*training=*/true);
+    return ClassifyPoint(x, /*training=*/true, nullptr);
   }
 
   /// Density point estimate in the live context.
   double EstimateDensity(std::span<const double> x) {
     TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
-    return ObservedEstimate(live_context(), x);
+    return EstimatePoint(x, nullptr);
   }
 
   /// Classifies every row of `queries`, returning one label per row in row
   /// order. Rows fan out across the executor's threads; labels and merged
   /// counters are bit-identical to the serial path at any thread count.
   std::vector<Classification> ClassifyBatch(const Dataset& queries) {
-    return ClassifyBatchImpl(queries, /*training=*/false);
+    return ClassifyBatchImpl(queries, /*training=*/false, nullptr);
   }
 
   /// Batch counterpart of ClassifyTraining() (self-corrected densities);
   /// same determinism contract as ClassifyBatch.
   std::vector<Classification> ClassifyTrainingBatch(const Dataset& queries) {
-    return ClassifyBatchImpl(queries, /*training=*/true);
+    return ClassifyBatchImpl(queries, /*training=*/true, nullptr);
   }
 
   /// Classify() against the merged model base + overlay (live context).
   /// Requires supports_overlay(). The overlay must be mutation-quiescent
-  /// for the duration of the call (see kde/delta_overlay.h).
+  /// for the duration of the call (see kde/delta_overlay.h). An empty
+  /// overlay answers exactly like Classify() / ClassifyTraining().
   Classification ClassifyWithOverlay(std::span<const double> x,
                                      const DeltaOverlay& overlay,
                                      bool training = false) {
     TKDC_CHECK_MSG(trained(), "ClassifyWithOverlay called before Train");
-    return ObservedClassifyOverlay(live_context(), x, training, overlay);
+    return ClassifyPoint(x, training, StagedOverlay(overlay));
   }
 
   /// EstimateDensity() against the merged model (live context).
   double EstimateDensityWithOverlay(std::span<const double> x,
                                     const DeltaOverlay& overlay) {
     TKDC_CHECK_MSG(trained(), "EstimateDensityWithOverlay called before Train");
-    return ObservedEstimateOverlay(live_context(), x, overlay);
+    return EstimatePoint(x, StagedOverlay(overlay));
   }
 
   /// ClassifyBatch() against the merged model: same executor fan-out and
   /// determinism contract, every row folding the same quiescent overlay.
   std::vector<Classification> ClassifyBatchWithOverlay(
       const Dataset& queries, const DeltaOverlay& overlay,
-      bool training = false);
+      bool training = false) {
+    return ClassifyBatchImpl(queries, training, StagedOverlay(overlay));
+  }
 
   /// Re-sizes the batch executor without touching the trained model; the
   /// next batch call repartitions. 0 = hardware concurrency, 1 = serial.
@@ -282,59 +283,43 @@ class DensityClassifier {
   uint64_t train_grid_prunes_ = 0;
 
  private:
+  /// The overlay the engine hooks see: null when nothing is staged, so an
+  /// empty overlay answers exactly like the base model. CHECK-fails unless
+  /// supports_overlay().
+  const DeltaOverlay* StagedOverlay(const DeltaOverlay& overlay) const;
+
+  /// The one batch body: ClassifyInContext over every row of `queries`,
+  /// fanned across the executor and recorded per row.
   std::vector<Classification> ClassifyBatchImpl(const Dataset& queries,
-                                                bool training);
+                                                bool training,
+                                                const DeltaOverlay* overlay);
 
-  /// ClassifyInContext wrapped with metrics recording: snapshots the
-  /// context's counters, runs the query, and books the deltas into the
-  /// context's shard. A single null check when metrics are detached.
-  Classification ObservedClassify(QueryContext& ctx, std::span<const double> x,
-                                  bool training) const {
-    if (ctx.metrics == nullptr) return ClassifyInContext(ctx, x, training);
+  /// Runs one engine-hook call `query` on `ctx` with metrics recording:
+  /// snapshots the context's counters, runs the query, and books the
+  /// deltas into the context's shard. A single null check when metrics are
+  /// detached.
+  template <typename Query>
+  auto Observed(QueryContext& ctx, const Query& query) const {
+    if (ctx.metrics == nullptr) return query();
     const TraversalStats before = ctx.stats;
     const uint64_t grid_before = ctx.grid_prunes;
-    const Classification label = ClassifyInContext(ctx, x, training);
+    const auto result = query();
     query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
-    return label;
+    return result;
   }
 
-  /// EstimateDensityInContext with the same recording wrapper.
-  double ObservedEstimate(QueryContext& ctx, std::span<const double> x) const {
-    if (ctx.metrics == nullptr) return EstimateDensityInContext(ctx, x);
-    const TraversalStats before = ctx.stats;
-    const uint64_t grid_before = ctx.grid_prunes;
-    const double density = EstimateDensityInContext(ctx, x);
-    query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
-    return density;
+  Classification ClassifyPoint(std::span<const double> x, bool training,
+                               const DeltaOverlay* overlay) {
+    QueryContext& ctx = live_context();
+    return Observed(
+        ctx, [&] { return ClassifyInContext(ctx, x, training, overlay); });
   }
 
-  /// ClassifyOverlayInContext with the metrics recording wrapper.
-  Classification ObservedClassifyOverlay(QueryContext& ctx,
-                                         std::span<const double> x,
-                                         bool training,
-                                         const DeltaOverlay& overlay) const {
-    if (ctx.metrics == nullptr) {
-      return ClassifyOverlayInContext(ctx, x, training, overlay);
-    }
-    const TraversalStats before = ctx.stats;
-    const uint64_t grid_before = ctx.grid_prunes;
-    const Classification label =
-        ClassifyOverlayInContext(ctx, x, training, overlay);
-    query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
-    return label;
-  }
-
-  /// EstimateDensityOverlayInContext with the same recording wrapper.
-  double ObservedEstimateOverlay(QueryContext& ctx, std::span<const double> x,
-                                 const DeltaOverlay& overlay) const {
-    if (ctx.metrics == nullptr) {
-      return EstimateDensityOverlayInContext(ctx, x, overlay);
-    }
-    const TraversalStats before = ctx.stats;
-    const uint64_t grid_before = ctx.grid_prunes;
-    const double density = EstimateDensityOverlayInContext(ctx, x, overlay);
-    query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
-    return density;
+  double EstimatePoint(std::span<const double> x,
+                       const DeltaOverlay* overlay) {
+    QueryContext& ctx = live_context();
+    return Observed(ctx,
+                    [&] { return EstimateDensityInContext(ctx, x, overlay); });
   }
 
   /// Gives `ctx` a shard of the attached registry (no-op when detached).

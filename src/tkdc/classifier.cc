@@ -24,34 +24,6 @@ TkdcClassifier::TkdcClassifier(TkdcConfig config)
   SetNumThreads(config_.num_threads);
 }
 
-std::vector<double> TkdcClassifier::ComputeTrainingDensities(
-    const Dataset& data, double lo, double hi, TreeQueryContext& sink) {
-  // lo/hi bound the *self-corrected* quantile t(p) (Eq. 1), while the
-  // traversal bounds *raw* densities; the engine shifts by K(0)/n to
-  // compare in the same space, but keeps the tolerance target at eps * lo
-  // so corrected densities near the threshold are resolved to eps * t.
-  // eps is the traversal share of the error budget — the band the pruning
-  // rules may spend after compression took its cut.
-  const double eps = engine_.model().budget.traversal;
-  const double grid_cut = hi * (1.0 + eps);
-  const double tolerance = eps * lo;
-  std::vector<double> densities(data.size());
-  // Each row's density depends only on the row itself, so the values are
-  // bit-identical to a serial loop's; the executor merges the per-worker
-  // counters into `sink` afterwards (sums are order-insensitive).
-  executor().Map(
-      data.size(), BatchExecutor::kDefaultMinChunk,
-      [this] { return MakeQueryContext(); },
-      [&](QueryContext& ctx, size_t row) {
-        densities[row] =
-            engine_.TrainingDensity(static_cast<TreeQueryContext&>(ctx),
-                                    data.Row(row), lo, hi, grid_cut,
-                                    tolerance);
-      },
-      sink);
-  return densities;
-}
-
 void TkdcClassifier::Train(const Dataset& data) {
   TKDC_CHECK_MSG(data.size() >= 2, "training set needs at least 2 points");
   // Bandwidths come from the FULL training set: Scott's rule depends on n
@@ -100,7 +72,7 @@ void TkdcClassifier::Train(const Dataset& data) {
   double hi = model->threshold_upper;
   for (int attempt = 0;; ++attempt) {
     model->training_densities =
-        ComputeTrainingDensities(*train_data, lo, hi, phase3);
+        engine_.TrainingDensities(executor(), *train_data, lo, hi, phase3);
     model->threshold = Quantile(model->training_densities, config_.p);
     // Detection step of Section 3.6: with probability >= 1 - delta the
     // quantile lands inside the bootstrap bounds. If it does not, the
@@ -131,33 +103,20 @@ void TkdcClassifier::Train(const Dataset& data) {
   ResetQueryState();
 }
 
-Classification TkdcClassifier::ClassifyInContext(QueryContext& ctx,
-                                                 std::span<const double> x,
-                                                 bool training) const {
+Classification TkdcClassifier::ClassifyInContext(
+    QueryContext& ctx, std::span<const double> x, bool training,
+    const DeltaOverlay* overlay) const {
   TKDC_CHECK_MSG(trained(), "Classify called before Train");
-  return engine_.Classify(static_cast<TreeQueryContext&>(ctx), x, training);
+  return engine_.Classify(static_cast<TreeQueryContext&>(ctx), x, training,
+                          overlay);
 }
 
 double TkdcClassifier::EstimateDensityInContext(
-    QueryContext& ctx, std::span<const double> x) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
-  return engine_.EstimateDensity(static_cast<TreeQueryContext&>(ctx), x);
-}
-
-Classification TkdcClassifier::ClassifyOverlayInContext(
-    QueryContext& ctx, std::span<const double> x, bool training,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "ClassifyWithOverlay called before Train");
-  return engine_.ClassifyOverlay(static_cast<TreeQueryContext&>(ctx), x,
-                                 training, overlay);
-}
-
-double TkdcClassifier::EstimateDensityOverlayInContext(
     QueryContext& ctx, std::span<const double> x,
-    const DeltaOverlay& overlay) const {
-  TKDC_CHECK_MSG(trained(), "EstimateDensityWithOverlay called before Train");
-  return engine_.EstimateDensityOverlay(static_cast<TreeQueryContext&>(ctx), x,
-                                        overlay);
+    const DeltaOverlay* overlay) const {
+  TKDC_CHECK_MSG(trained(), "EstimateDensity called before Train");
+  return engine_.EstimateDensity(static_cast<TreeQueryContext&>(ctx), x,
+                                 overlay);
 }
 
 bool TkdcClassifier::ExportTrainingData(Dataset* out) const {

@@ -60,21 +60,16 @@ class TkdcClassifier : public DensityClassifier {
     return std::make_unique<TreeQueryContext>();
   }
   Classification ClassifyInContext(QueryContext& ctx,
-                                   std::span<const double> x,
-                                   bool training) const override;
+                                   std::span<const double> x, bool training,
+                                   const DeltaOverlay* overlay) const override;
   double EstimateDensityInContext(QueryContext& ctx,
-                                  std::span<const double> x) const override;
+                                  std::span<const double> x,
+                                  const DeltaOverlay* overlay) const override;
 
   /// Streaming: the tKDC density is an additive kernel sum, so a staged
   /// DeltaOverlay folds in exactly (BoundDensityAffine) — the Eq. 8-9
   /// pruning guarantees hold for the merged density at any buffer size.
   bool supports_overlay() const override { return true; }
-  Classification ClassifyOverlayInContext(
-      QueryContext& ctx, std::span<const double> x, bool training,
-      const DeltaOverlay& overlay) const override;
-  double EstimateDensityOverlayInContext(
-      QueryContext& ctx, std::span<const double> x,
-      const DeltaOverlay& overlay) const override;
   bool ExportTrainingData(Dataset* out) const override;
 
   const TkdcConfig& config() const { return config_; }
@@ -148,12 +143,6 @@ class TkdcClassifier : public DensityClassifier {
                CoresetInfo coreset = CoresetInfo());
 
  private:
-  /// Computes Dx for all training rows under bounds [lo, hi], fanning rows
-  /// across the executor and folding worker counters into `sink`.
-  std::vector<double> ComputeTrainingDensities(const Dataset& data, double lo,
-                                               double hi,
-                                               TreeQueryContext& sink);
-
   TkdcConfig config_;
   std::shared_ptr<const TkdcModel> model_;
   TkdcQueryEngine engine_;

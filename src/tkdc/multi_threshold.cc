@@ -5,6 +5,7 @@
 #include "common/macros.h"
 #include "common/stats.h"
 #include "kde/bandwidth.h"
+#include "kde/batch_executor.h"
 #include "tkdc/threshold.h"
 
 namespace tkdc {
@@ -13,7 +14,6 @@ MultiThresholdClassifier::MultiThresholdClassifier(TkdcConfig config,
                                                    std::vector<double> levels)
     : config_(std::move(config)), levels_(std::move(levels)) {
   config_.CheckValid();
-  eps_traversal_ = config_.ResolveBudget().traversal;
   TKDC_CHECK_MSG(!levels_.empty(), "need at least one level");
   for (size_t i = 0; i < levels_.size(); ++i) {
     TKDC_CHECK_MSG(levels_[i] > 0.0 && levels_[i] < 1.0,
@@ -26,17 +26,11 @@ MultiThresholdClassifier::MultiThresholdClassifier(TkdcConfig config,
 }
 
 void MultiThresholdClassifier::Train(const Dataset& data) {
-  TKDC_CHECK(data.size() >= 2);
-  kernel_ = std::make_unique<Kernel>(
-      config_.kernel, SelectBandwidths(config_.bandwidth_rule, data,
-                                       config_.bandwidth_scale));
-  tree_ = BuildIndex(
-      data, config_.MakeIndexOptions(kernel_->inverse_bandwidths()));
-  evaluator_ = DensityBoundEvaluator(tree_.get(), kernel_.get(), &config_);
+  auto model = BuildTkdcModelSkeleton(
+      config_, data,
+      SelectBandwidths(config_.bandwidth_rule, data, config_.bandwidth_scale));
   ctx_.stats = TraversalStats();
   ctx_.grid_prunes = 0;
-  self_contribution_ =
-      kernel_->MaxValue() / static_cast<double>(data.size());
 
   // Bootstrap coarse bounds at the extreme levels; their union covers
   // every intermediate threshold.
@@ -44,110 +38,44 @@ void MultiThresholdClassifier::Train(const Dataset& data) {
   low_config.p = levels_.front();
   ThresholdEstimator low_estimator(&low_config);
   const ThresholdBootstrapResult low =
-      low_estimator.Bootstrap(data, *tree_, *kernel_);
+      low_estimator.Bootstrap(data, *model->tree, *model->kernel);
   bootstrap_kernel_evaluations_ += low.stats.kernel_evaluations;
-  double lo = low.lower;
-  double hi = low.upper;
+  model->threshold_lower = low.lower;
+  model->threshold_upper = low.upper;
   if (levels_.size() > 1) {
     TkdcConfig high_config = config_;
     high_config.p = levels_.back();
     ThresholdEstimator high_estimator(&high_config);
     const ThresholdBootstrapResult high =
-        high_estimator.Bootstrap(data, *tree_, *kernel_);
+        high_estimator.Bootstrap(data, *model->tree, *model->kernel);
     bootstrap_kernel_evaluations_ += high.stats.kernel_evaluations;
-    lo = std::min(lo, high.lower);
-    hi = std::max(hi, high.upper);
+    model->threshold_lower = std::min(model->threshold_lower, high.lower);
+    model->threshold_upper = std::max(model->threshold_upper, high.upper);
   }
 
-  grid_.reset();
-  if (config_.use_grid && data.dims() <= config_.grid_max_dims &&
-      data.dims() <= GridCache::kMaxDims) {
-    grid_ = std::make_unique<GridCache>(data, *kernel_);
+  // One training-density pass under the widened band serves every level.
+  engine_ = TkdcQueryEngine(model.get());
+  BatchExecutor executor(config_.num_threads);
+  model->training_densities =
+      engine_.TrainingDensities(executor, data, model->threshold_lower,
+                                model->threshold_upper, ctx_);
+  std::vector<double> sorted = model->training_densities;
+  std::sort(sorted.begin(), sorted.end());
+  thresholds_.clear();
+  for (const double level : levels_) {
+    thresholds_.push_back(QuantileSorted(sorted, level));
   }
-
-  // One training-density pass under the widened band serves every level;
-  // the pass spends the budget's traversal share, like every traversal.
-  const double tolerance = eps_traversal_ * lo;
-  const double grid_cut = hi * (1.0 + eps_traversal_);
-  std::vector<double> densities;
-  densities.reserve(data.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    const auto x = data.Row(i);
-    if (grid_ != nullptr) {
-      const double grid_bound =
-          grid_->DensityLowerBound(x) - self_contribution_;
-      if (grid_bound > grid_cut) {
-        densities.push_back(grid_bound);
-        continue;
-      }
-    }
-    const DensityBounds bounds = evaluator_.BoundDensity(
-        ctx_, x, lo + self_contribution_, hi + self_contribution_, tolerance);
-    densities.push_back(bounds.Midpoint() - self_contribution_);
-  }
-  std::sort(densities.begin(), densities.end());
-  thresholds_.resize(levels_.size());
-  for (size_t i = 0; i < levels_.size(); ++i) {
-    thresholds_[i] = QuantileSorted(densities, levels_[i]);
-  }
-}
-
-size_t MultiThresholdClassifier::BandOfDensity(double density,
-                                               double shift) const {
-  size_t band = 0;
-  while (band < thresholds_.size() && density >= thresholds_[band] + shift) {
-    ++band;
-  }
-  return band;
-}
-
-size_t MultiThresholdClassifier::BandImpl(std::span<const double> x,
-                                          double shift) {
-  TKDC_CHECK_MSG(trained(), "Band queried before Train");
-  if (grid_ != nullptr &&
-      grid_->DensityLowerBound(x) > thresholds_.back() + shift) {
-    return thresholds_.size();
-  }
-  // Iterative narrowing: each pass targets only the thresholds still
-  // straddled by the bounds, with the tolerance anchored at the *largest*
-  // remaining threshold — coarse first, refining only when the bounds
-  // still straddle smaller contours. A density near the 50% contour never
-  // pays for 1%-contour precision, and a density near the 1% contour
-  // narrows down to it in O(1) passes.
-  size_t band_lo = 0;
-  size_t band_hi = thresholds_.size();
-  for (;;) {
-    const double t_lo = thresholds_[band_lo];
-    const double t_hi = thresholds_[band_hi - 1];
-    const DensityBounds bounds = evaluator_.BoundDensity(
-        ctx_, x, t_lo + shift, t_hi + shift, eps_traversal_ * t_hi);
-    // Every pass's bounds contain the true density, so the true band lies
-    // in the intersection of the ranges; clamping keeps narrowing
-    // monotone even though a later (more aggressively pruned) pass can
-    // report looser bounds.
-    const size_t new_lo =
-        std::max(band_lo, BandOfDensity(bounds.lower, shift));
-    const size_t new_hi =
-        std::min(band_hi, BandOfDensity(bounds.upper, shift));
-    if (new_lo >= new_hi) return new_lo;
-    if (new_lo == band_lo && new_hi == band_hi) {
-      // No further narrowing possible: the bounds are already within
-      // epsilon * t of the straddled threshold(s); the midpoint decides
-      // within the Problem 1 contract.
-      return BandOfDensity(bounds.Midpoint(), shift);
-    }
-    band_lo = new_lo;
-    band_hi = new_hi;
-    TKDC_DCHECK(band_lo < band_hi && band_hi <= thresholds_.size());
-  }
+  model_ = std::move(model);
 }
 
 size_t MultiThresholdClassifier::Band(std::span<const double> x) {
-  return BandImpl(x, 0.0);
+  TKDC_CHECK_MSG(trained(), "Band queried before Train");
+  return engine_.Band(ctx_, x, thresholds_, /*training=*/false);
 }
 
 size_t MultiThresholdClassifier::BandTraining(std::span<const double> x) {
-  return BandImpl(x, self_contribution_);
+  TKDC_CHECK_MSG(trained(), "Band queried before Train");
+  return engine_.Band(ctx_, x, thresholds_, /*training=*/true);
 }
 
 uint64_t MultiThresholdClassifier::kernel_evaluations() const {

@@ -5,11 +5,10 @@
 #include <vector>
 
 #include "data/dataset.h"
-#include "index/spatial_index.h"
-#include "kde/kernel.h"
 #include "tkdc/config.h"
 #include "tkdc/density_bounds.h"
-#include "tkdc/grid_cache.h"
+#include "tkdc/model.h"
+#include "tkdc/query_engine.h"
 
 namespace tkdc {
 
@@ -19,12 +18,13 @@ namespace tkdc {
 /// density-based p-values (Section 2.1), which would otherwise train L
 /// independent classifiers.
 ///
-/// Train() bootstraps coarse bounds for the extreme levels, computes the
-/// training-density pass once under the widened band, and reads all L
-/// thresholds off the same density vector. Band() then classifies a query
-/// into one of L+1 nested bands with a single bound traversal whose
-/// tolerance is anchored at the smallest threshold, so every per-level
-/// decision retains the eps * t(p_level) guarantee.
+/// Train() builds one TkdcModel (the same skeleton TkdcClassifier trains),
+/// bootstraps coarse bounds for the extreme levels, runs the engine's
+/// training-density pass once under the widened band on the batch
+/// executor, and reads all L thresholds off the model's
+/// training_densities. Band() then classifies a query into one of L+1
+/// nested bands through TkdcQueryEngine::Band, whose narrowing keeps every
+/// per-level decision within the eps * t(p_level) guarantee.
 class MultiThresholdClassifier {
  public:
   /// `levels` must be strictly ascending probabilities in (0, 1), at least
@@ -34,7 +34,7 @@ class MultiThresholdClassifier {
   /// Trains on `data`; see class comment.
   void Train(const Dataset& data);
 
-  bool trained() const { return tree_ != nullptr; }
+  bool trained() const { return model_ != nullptr; }
   const std::vector<double>& levels() const { return levels_; }
 
   /// Estimated thresholds t~(p_i), ascending; valid after Train().
@@ -61,23 +61,16 @@ class MultiThresholdClassifier {
   uint64_t kernel_evaluations() const;
 
  private:
-  size_t BandOfDensity(double density, double shift) const;
-  size_t BandImpl(std::span<const double> x, double shift);
-
   TkdcConfig config_;
-  /// Traversal share of the resolved error budget; frozen at construction.
-  double eps_traversal_ = 0.0;
   std::vector<double> levels_;
-  std::unique_ptr<Kernel> kernel_;
-  std::unique_ptr<const SpatialIndex> tree_;
-  std::unique_ptr<GridCache> grid_;
-  /// Stateless engine over tree_/kernel_/config_; rebuilt by Train().
-  DensityBoundEvaluator evaluator_;
-  /// Scratch + counters for this (externally single-threaded) classifier:
-  /// the training pass and every Band() query run through it.
+  std::shared_ptr<const TkdcModel> model_;
+  /// Engine over model_; rebuilt by Train().
+  TkdcQueryEngine engine_;
+  /// Counters (and scratch) for this externally single-threaded
+  /// classifier: the training pass folds its workers' counters into it
+  /// and every Band() query runs in it.
   TreeQueryContext ctx_;
   std::vector<double> thresholds_;
-  double self_contribution_ = 0.0;
   uint64_t bootstrap_kernel_evaluations_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "tkdc_api.h"
 
+#include <cmath>
 #include <sstream>
 #include <utility>
 
@@ -13,6 +14,22 @@
 #include "tkdc/model_io.h"
 
 namespace tkdc::api {
+
+namespace {
+
+/// A NaN or infinite t(p) turns every label into garbage (all comparisons
+/// against it fail), so training refuses the model instead of returning
+/// it. At d = 784 the Gaussian normalizer overflows to inf and t(p) comes
+/// out NaN.
+Status CheckThreshold(double threshold, const std::string& where = "") {
+  if (std::isfinite(threshold)) return Status::Ok();
+  return Errorf() << "training produced a non-finite threshold t(p)" << where
+                  << ": " << threshold
+                  << " (the kernel density over- or underflows at this "
+                     "dimensionality and bandwidth)";
+}
+
+}  // namespace
 
 const std::vector<std::string>& KnownAlgorithms() {
   static const std::vector<std::string> kNames = {"tkdc",  "nocut",  "simple",
@@ -80,6 +97,8 @@ Result<std::unique_ptr<DensityClassifier>> Train(const Dataset& data,
     return Errorf() << "training needs at least 2 rows, got " << data.size();
   }
   classifier.value()->Train(data);
+  const Status threshold = CheckThreshold(classifier.value()->threshold());
+  if (!threshold.ok()) return threshold;
   return classifier;
 }
 
@@ -103,6 +122,11 @@ Result<std::unique_ptr<MultiClassClassifier>> TrainMultiClass(
   auto classifier = std::make_unique<MultiClassClassifier>(config);
   Status status = classifier->Train(data, row_labels, std::move(priors));
   if (!status.ok()) return status;
+  for (size_t c = 0; c < classifier->num_classes(); ++c) {
+    status = CheckThreshold(classifier->class_part(c).threshold(),
+                            " of class " + classifier->class_labels()[c]);
+    if (!status.ok()) return status;
+  }
   return classifier;
 }
 

@@ -5,6 +5,7 @@
 // per spatial-index backend — the executor's determinism must not depend
 // on which geometry the traversal prunes with.
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "index/index_backend.h"
+#include "kde/delta_overlay.h"
 #include "tkdc/classifier.h"
 
 namespace tkdc {
@@ -148,6 +150,54 @@ TEST_P(BatchEquivalenceTest, SetNumThreadsRepartitionsWithoutRetraining) {
     EXPECT_EQ(classifier->ClassifyBatch(queries_), reference)
         << name() << " at " << threads << " threads";
     EXPECT_DOUBLE_EQ(classifier->threshold(), threshold);
+  }
+}
+
+TEST_P(BatchEquivalenceTest, EmptyOverlayIsTheBasePath) {
+  // The facade hands the engines a null overlay when nothing is staged, so
+  // every overlay verb with an empty DeltaOverlay must answer exactly like
+  // its base verb: the same labels, bitwise-equal densities, and the same
+  // work counters.
+  auto probe = Make();
+  if (!probe->supports_overlay()) {
+    // knn's order-statistic density folds no overlay; the facade rejects
+    // its overlay verbs instead.
+    EXPECT_EQ(name(), "knn");
+    return;
+  }
+  const DeltaOverlay empty(data_.dims(), 16);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const std::string what = name() + " at " + std::to_string(threads) +
+                             " threads";
+    auto base = Make();
+    base->Train(data_);
+    base->SetNumThreads(threads);
+    auto merged = Make();
+    merged->Train(data_);
+    merged->SetNumThreads(threads);
+    EXPECT_EQ(merged->ClassifyBatchWithOverlay(queries_, empty),
+              base->ClassifyBatch(queries_))
+        << what;
+    EXPECT_EQ(merged->ClassifyBatchWithOverlay(data_, empty,
+                                               /*training=*/true),
+              base->ClassifyTrainingBatch(data_))
+        << what;
+    for (size_t i = 0; i < queries_.size(); i += 7) {
+      const auto x = queries_.Row(i);
+      const auto row = data_.Row(i);
+      EXPECT_EQ(merged->ClassifyWithOverlay(x, empty), base->Classify(x))
+          << what << " row " << i;
+      EXPECT_EQ(merged->ClassifyWithOverlay(row, empty, /*training=*/true),
+                base->ClassifyTraining(row))
+          << what << " row " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    merged->EstimateDensityWithOverlay(x, empty)),
+                std::bit_cast<uint64_t>(base->EstimateDensity(x)))
+          << what << " row " << i;
+    }
+    ExpectStatsEqual(merged->query_stats(), base->query_stats(),
+                     what + " query_stats");
+    EXPECT_EQ(merged->grid_prunes(), base->grid_prunes()) << what;
   }
 }
 

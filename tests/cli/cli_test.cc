@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -203,6 +204,22 @@ TEST_F(CliTest, EpanechnikovKernelOption) {
             0)
       << Err();
   ASSERT_EQ(Run({"info", "--model", model}), 0);
+}
+
+TEST_F(CliTest, TrainRefusesNonFiniteThreshold) {
+  // At mnist's d = 784 the Gaussian normalizer overflows and t(p) comes
+  // out NaN; train must fail instead of writing a model that labels every
+  // query by a comparison against NaN.
+  const std::string data_csv = TempPath("mnist.csv");
+  ASSERT_EQ(Run({"generate", "--dataset", "mnist", "--n", "300", "--output",
+                 data_csv}),
+            0)
+      << Err();
+  const std::string model = TempPath("mnist.tkdc");
+  std::remove(model.c_str());
+  EXPECT_EQ(Run({"train", "--input", data_csv, "--model", model}), 1);
+  EXPECT_NE(Err().find("non-finite threshold"), std::string::npos) << Err();
+  EXPECT_FALSE(std::ifstream(model).good());
 }
 
 TEST_F(CliTest, UnknownKernelRejected) {

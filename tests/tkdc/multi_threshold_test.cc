@@ -120,8 +120,9 @@ TEST(MultiThresholdTest, SingleLevelDegeneratesToClassifier) {
   ladder.Train(data);
   TkdcClassifier single;
   single.Train(data);
-  EXPECT_NEAR(ladder.thresholds()[0], single.threshold(),
-              0.03 * single.threshold());
+  // One level trains the same model through the same pass, so the
+  // threshold is TkdcClassifier's bit for bit.
+  EXPECT_EQ(ladder.thresholds()[0], single.threshold());
   Rng probe(5);
   int agreements = 0;
   for (int trial = 0; trial < 100; ++trial) {
@@ -130,7 +131,7 @@ TEST(MultiThresholdTest, SingleLevelDegeneratesToClassifier) {
     const bool single_high = single.Classify(q) == Classification::kHigh;
     if (ladder_high == single_high) ++agreements;
   }
-  EXPECT_GE(agreements, 98);
+  EXPECT_EQ(agreements, 100);
 }
 
 TEST(MultiThresholdTest, OneTraversalPerQuery) {

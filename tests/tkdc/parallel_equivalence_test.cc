@@ -6,6 +6,7 @@
 // model", and the test the TSan build runs to certify the engine race-free
 // (see README / EXPERIMENTS.md for the TKDC_SANITIZE=thread invocation).
 
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -189,16 +190,36 @@ TEST(ParallelEquivalenceTest, RkdeAutoRadiusMatchesSerial) {
 }
 
 TEST(ParallelEquivalenceTest, MultiThresholdMatchesSerial) {
+  // The ladder's training pass fans out over the batch executor: the
+  // thresholds, every training row's band, and the work counters must not
+  // depend on the thread count, on either index backend.
   const Dataset data = TrainingData();
-  std::vector<std::vector<double>> thresholds;
-  for (const size_t threads : {1u, 4u}) {
-    TkdcConfig config;
-    config.num_threads = threads;
-    MultiThresholdClassifier classifier(config, {0.01, 0.1, 0.5});
-    classifier.Train(data);
-    thresholds.push_back(classifier.thresholds());
+  for (const IndexBackend backend :
+       {IndexBackend::kKdTree, IndexBackend::kBallTree}) {
+    std::vector<std::vector<double>> thresholds;
+    std::vector<std::vector<size_t>> bands;
+    std::vector<uint64_t> evaluations;
+    for (const size_t threads : {1u, 4u, 8u}) {
+      TkdcConfig config;
+      config.num_threads = threads;
+      config.index_backend = backend;
+      MultiThresholdClassifier classifier(config, {0.01, 0.1, 0.5});
+      classifier.Train(data);
+      thresholds.push_back(classifier.thresholds());
+      std::vector<size_t> row_bands(data.size());
+      for (size_t i = 0; i < data.size(); ++i) {
+        row_bands[i] = classifier.BandTraining(data.Row(i));
+      }
+      bands.push_back(std::move(row_bands));
+      evaluations.push_back(classifier.kernel_evaluations());
+    }
+    for (size_t run = 1; run < thresholds.size(); ++run) {
+      const std::string what = IndexBackendName(backend);
+      EXPECT_EQ(thresholds[run], thresholds[0]) << what << " run " << run;
+      EXPECT_EQ(bands[run], bands[0]) << what << " run " << run;
+      EXPECT_EQ(evaluations[run], evaluations[0]) << what << " run " << run;
+    }
   }
-  EXPECT_EQ(thresholds[0], thresholds[1]);
 }
 
 }  // namespace
