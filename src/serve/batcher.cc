@@ -243,9 +243,11 @@ void MicroBatcher::Loop() {
         if (stopping_ || pending_rebuild_.has_value()) continue;
       }
     }
-    // Hold the batch open for the window unless it fills first. During a
-    // drain (stopping_) the window is skipped: latency no longer matters,
-    // getting every queued response out does.
+    // Continuous batching by default: an idle dispatcher takes whatever is
+    // queued at once, and what arrives while a batch runs is the next
+    // batch. An opt-in window holds the batch open unless it fills first.
+    // During a drain (stopping_) the window is skipped: latency no longer
+    // matters, getting every queued response out does.
     if (options_.batch_window_us > 0 && !stopping_ &&
         queue_.size() < options_.max_batch) {
       const auto window_end =
@@ -614,7 +616,11 @@ size_t MicroBatcher::ExecuteGroup(std::vector<Pending*>& group,
   model.FlushMetrics();  // Query-path shard → registry (no-op if
                          // detached).
   if (!answers.empty()) BookCompleted(answers.size());
-  for (auto& [pending, response] : answers) pending->done(response);
+  {
+    // One write per connection for the group's answers, not one per answer.
+    FrameWriter::Coalesce coalesce;
+    for (auto& [pending, response] : answers) pending->done(response);
+  }
   executed += answers.size();
 
   *group_stale_queries += stale_queries;

@@ -96,8 +96,12 @@ struct BatcherOptions {
   /// Most requests coalesced into one ClassifyBatch call.
   size_t max_batch = 64;
   /// How long the dispatcher holds an open batch waiting for more arrivals
-  /// once at least one request is queued. 0 = dispatch immediately.
-  uint64_t batch_window_us = 200;
+  /// once at least one request is queued. 0 (the default) = continuous
+  /// batching: dispatch at once, and let whatever arrives while a batch
+  /// runs form the next one. A window only adds latency to a request that
+  /// finds the engine idle; it is an opt-in for tests and benches that
+  /// need a batch to form.
+  uint64_t batch_window_us = 0;
   /// Minimum time between batch dispatches (0 = none): a per-worker
   /// capacity throttle. Where the window bounds how long a request waits
   /// for company, the pace bounds how often the engine runs at all,
@@ -137,15 +141,19 @@ class ModelRegistry;  // serve/registry.h; it includes this header.
 ///
 /// Life of a request: Submit() (any thread) either enqueues it — bounded
 /// queue, excess shed with OVERLOADED — or rejects it; the dispatcher
-/// thread wakes on the first arrival, holds the batch open for up to
-/// `batch_window_us` (cut short when `max_batch` fills), drains up to
-/// `max_batch` entries, expires requests whose deadline passed (TIMEOUT),
-/// groups the rest by verb, and answers them through one
-/// ClassifyBatch / ClassifyTrainingBatch call (plus a serial
-/// EstimateDensity loop) on a model snapshot taken at drain time. Every
-/// admitted request gets exactly one completion callback, on the
-/// dispatcher thread; labels are bit-identical to serial Classify because
-/// the batch engine is deterministic at any thread count.
+/// thread wakes on the first arrival and at once (or, with the opt-in
+/// `batch_window_us`, after holding the batch open that long unless
+/// `max_batch` fills) drains up to `max_batch` entries. So under load a
+/// batch is whatever arrived while the previous one ran. It expires
+/// requests whose deadline passed (TIMEOUT), groups the rest by verb, and
+/// answers them through one ClassifyBatch / ClassifyTrainingBatch call
+/// (plus a serial EstimateDensity loop) on a model snapshot taken at
+/// drain time. Every admitted request gets exactly one completion
+/// callback, on the dispatcher thread; labels are bit-identical to serial
+/// Classify because the batch engine is deterministic at any thread
+/// count. A group's query completions run inside one
+/// FrameWriter::Coalesce, so a connection gets its answers from one batch
+/// in one write(); INSERT/DELETE and error answers are written at once.
 ///
 /// Stop() drains: no new admissions, every queued request still executes,
 /// then the dispatcher joins — the graceful-SIGTERM contract.

@@ -26,7 +26,11 @@ constexpr const char kUsage[] =
     "                          instead of TCP\n"
     "  --threads N             batch-engine worker threads (0 = hardware\n"
     "                          concurrency, 1 = serial; labels identical)\n"
-    "  --batch-window-us U     micro-batch coalescing window (default 200)\n"
+    "  --batch-window-us U     opt-in micro-batch coalescing window: hold\n"
+    "                          a batch open this long for more arrivals\n"
+    "                          (default 0 = continuous batching: dispatch\n"
+    "                          at once; arrivals during a batch form the\n"
+    "                          next one)\n"
     "  --batch-pace-us U       minimum spacing between batch dispatches:\n"
     "                          caps the worker at ~max-batch/pace requests\n"
     "                          per second (default 0 = unpaced)\n"

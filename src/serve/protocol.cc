@@ -1,12 +1,18 @@
 #include "serve/protocol.h"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace tkdc::serve {
@@ -40,20 +46,47 @@ bool ParseInt64(std::string_view token, int64_t* value) {
   return ec == std::errc() && ptr == end;
 }
 
+/// Parses one coordinate straight from its cell: an optional sign (`+` or
+/// `-`), then a decimal number with an optional exponent. Leading
+/// whitespace, hex floats, NaN and infinities are rejected.
+Status ParseCoordinate(std::string_view cell, double* value) {
+  if (cell.empty()) return Errorf() << "empty coordinate in point";
+  // from_chars takes no leading '+'; skip one, but never in front of a
+  // second sign ("+-1").
+  std::string_view digits = cell;
+  if (digits.front() == '+') {
+    digits.remove_prefix(1);
+    if (!digits.empty() && (digits.front() == '-' || digits.front() == '+')) {
+      return Errorf() << "bad coordinate \"" << cell << "\"";
+    }
+  }
+  const char* last = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), last, *value);
+  const bool in_range = ec == std::errc();
+  if (ptr != last || !(in_range || ec == std::errc::result_out_of_range)) {
+    return Errorf() << "bad coordinate \"" << cell << "\"";
+  }
+  if (!in_range) {
+    // Well-formed but beyond double's range: strtod's rounding (signed zero
+    // on underflow, infinity on overflow) decides, as it always did.
+    *value = std::strtod(std::string(digits).c_str(), nullptr);
+  }
+  if (!std::isfinite(*value)) {
+    return Errorf() << "non-finite coordinate \"" << cell << "\"";
+  }
+  return Status::Ok();
+}
+
 Status ParsePoint(std::string_view csv, std::vector<double>* point) {
   size_t start = 0;
   while (start <= csv.size()) {
     size_t comma = csv.find(',', start);
     if (comma == std::string_view::npos) comma = csv.size();
-    const std::string cell(csv.substr(start, comma - start));
-    if (cell.empty()) return Errorf() << "empty coordinate in point";
-    char* cell_end = nullptr;
-    const double value = std::strtod(cell.c_str(), &cell_end);
-    if (cell_end != cell.c_str() + cell.size()) {
-      return Errorf() << "bad coordinate \"" << cell << "\"";
-    }
-    if (!std::isfinite(value)) {
-      return Errorf() << "non-finite coordinate \"" << cell << "\"";
+    double value = 0.0;
+    if (const Status status =
+            ParseCoordinate(csv.substr(start, comma - start), &value);
+        !status.ok()) {
+      return status;
     }
     point->push_back(value);
     start = comma + 1;
@@ -335,6 +368,20 @@ Result<std::optional<std::string>> FrameReader::Next(
   }
 }
 
+namespace {
+
+/// The open Coalesce scope of this thread (null = none).
+thread_local FrameWriter::Coalesce* current_coalesce = nullptr;
+
+}  // namespace
+
+FrameWriter::Coalesce::Coalesce() { current_coalesce = this; }
+
+FrameWriter::Coalesce::~Coalesce() {
+  current_coalesce = nullptr;
+  for (auto& [writer, frames] : held_) writer->Send(frames);
+}
+
 FrameWriter::FrameWriter(int fd, Framing framing, bool owns_fd)
     : fd_(fd), framing_(framing), owns_fd_(owns_fd) {}
 
@@ -347,13 +394,29 @@ void FrameWriter::Write(const Response& response) {
 }
 
 void FrameWriter::WriteRaw(std::string_view payload) {
-  const std::string frame = EncodeFrame(payload, framing_);
+  std::string frame = EncodeFrame(payload, framing_);
+  if (current_coalesce == nullptr) {
+    Send(frame);
+    return;
+  }
+  auto& held = current_coalesce->held_;
+  const auto it =
+      std::find_if(held.begin(), held.end(),
+                   [this](const auto& entry) { return entry.first == this; });
+  if (it == held.end()) {
+    held.emplace_back(this, std::move(frame));
+  } else {
+    it->second += frame;
+  }
+}
+
+void FrameWriter::Send(std::string_view frames) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (broken_) return;
   size_t written = 0;
-  while (written < frame.size()) {
+  while (written < frames.size()) {
     const ssize_t put =
-        ::write(fd_, frame.data() + written, frame.size() - written);
+        ::write(fd_, frames.data() + written, frames.size() - written);
     if (put < 0) {
       if (errno == EINTR) continue;
       broken_ = true;  // Peer vanished; stop writing, keep serving others.
@@ -366,6 +429,36 @@ void FrameWriter::WriteRaw(std::string_view payload) {
 bool FrameWriter::broken() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return broken_;
+}
+
+void SetTcpNoDelay(int fd) {
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
+}
+
+int ListenLoopback(uint16_t port, std::ostream& announce) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (listener < 0) {
+    std::fprintf(stderr, "socket failed: %s\n", std::strerror(errno));
+    return -1;
+  }
+  const int enable = 1;
+  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+      ::listen(listener, 64) < 0) {
+    std::fprintf(stderr, "bind/listen failed: %s\n", std::strerror(errno));
+    ::close(listener);
+    return -1;
+  }
+  socklen_t addr_len = sizeof(addr);
+  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
+  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n"
+           << std::flush;
+  return listener;
 }
 
 }  // namespace tkdc::serve

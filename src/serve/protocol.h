@@ -5,8 +5,10 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -189,6 +191,27 @@ class FrameReader {
 /// daemon. Closes `fd` on destruction when `owns_fd`.
 class FrameWriter {
  public:
+  /// Holds back every frame the constructing thread writes, through any
+  /// FrameWriter, until the scope ends; then sends each writer's frames in
+  /// one write(). The dispatcher wraps a batch's answers in one, so a
+  /// connection with many answers in the batch gets one segment instead of
+  /// one per answer. Frames stay whole and in order per writer; other
+  /// threads' writes are not held. Every writer written through must
+  /// outlive the scope, and a thread opens one scope at a time.
+  class Coalesce {
+   public:
+    Coalesce();
+    ~Coalesce();
+
+    Coalesce(const Coalesce&) = delete;
+    Coalesce& operator=(const Coalesce&) = delete;
+
+   private:
+    friend class FrameWriter;
+    /// Held frames per writer, in first-write order.
+    std::vector<std::pair<FrameWriter*, std::string>> held_;
+  };
+
   FrameWriter(int fd, Framing framing, bool owns_fd);
   ~FrameWriter();
 
@@ -207,12 +230,27 @@ class FrameWriter {
   bool broken() const;
 
  private:
+  /// Writes whole frames under the mutex.
+  void Send(std::string_view frames);
+
   mutable std::mutex mutex_;
   int fd_;
   Framing framing_;
   bool owns_fd_;
   bool broken_ = false;
 };
+
+/// Turns off Nagle's algorithm on a TCP socket. With it on, a frame written
+/// while the previous one is unacknowledged waits for the peer's ACK, and
+/// a peer that delays its ACK (Linux: at least 40 ms) holds the answer that
+/// long. Every TCP socket the serve layer owns goes through this: the
+/// connections tkdc_serve and tkdc_router accept, and the router's dials.
+void SetTcpNoDelay(int fd);
+
+/// Binds a listening TCP socket on 127.0.0.1:`port` (0 = ephemeral) and
+/// announces "listening on 127.0.0.1:<port>" on `announce`. Returns the
+/// socket, or -1 after printing the failure to stderr.
+int ListenLoopback(uint16_t port, std::ostream& announce);
 
 }  // namespace tkdc::serve
 

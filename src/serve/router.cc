@@ -171,6 +171,7 @@ int Router::Dial(const std::string& address) {
     ::close(fd);
     return -1;
   }
+  SetTcpNoDelay(fd);
   return fd;
 }
 
@@ -404,27 +405,8 @@ int Router::RunPipe(int in_fd, int out_fd) {
 }
 
 int Router::RunTcp(uint16_t port, std::ostream& announce) {
-  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listener < 0) {
-    std::fprintf(stderr, "socket failed: %s\n", std::strerror(errno));
-    return 1;
-  }
-  const int enable = 1;
-  ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      ::listen(listener, 64) < 0) {
-    std::fprintf(stderr, "bind/listen failed: %s\n", std::strerror(errno));
-    ::close(listener);
-    return 1;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n"
-           << std::flush;
+  const int listener = ListenLoopback(port, announce);
+  if (listener < 0) return 1;
 
   std::vector<std::thread> sessions;
   while (!ShouldStop()) {
@@ -440,6 +422,7 @@ int Router::RunTcp(uint16_t port, std::ostream& announce) {
     if (ready <= 0) continue;
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn < 0) continue;
+    SetTcpNoDelay(conn);
     sessions.emplace_back([this, conn] {
       FrameReader reader(conn, Framing::kLengthPrefixed);
       const auto writer = std::make_shared<FrameWriter>(

@@ -29,8 +29,11 @@ void MultiThresholdClassifier::Train(const Dataset& data) {
   auto model = BuildTkdcModelSkeleton(
       config_, data,
       SelectBandwidths(config_.bandwidth_rule, data, config_.bandwidth_scale));
+  // Work counters describe the current model only: a retrain starts them
+  // over, the bootstrap count included.
   ctx_.stats = TraversalStats();
   ctx_.grid_prunes = 0;
+  bootstrap_kernel_evaluations_ = 0;
 
   // Bootstrap coarse bounds at the extreme levels; their union covers
   // every intermediate threshold.

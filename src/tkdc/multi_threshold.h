@@ -57,7 +57,7 @@ class MultiThresholdClassifier {
     return band < levels_.size() ? levels_[band] : 1.0;
   }
 
-  /// Total kernel evaluations so far (training + queries).
+  /// Kernel evaluations since the last Train (its training + queries).
   uint64_t kernel_evaluations() const;
 
  private:

@@ -370,5 +370,58 @@ TEST(ServeBatcherTest, DimensionMismatchIsARequestLevelError) {
   EXPECT_EQ(responses.at(2).code, ResponseCode::kOk);
 }
 
+// Continuous batching (the default): an idle dispatcher runs the first
+// request at once, and everything that arrives while a batch runs forms the
+// next batch.
+TEST(ServeBatcherTest, ArrivalsDuringABatchFormTheNextBatch) {
+  constexpr uint64_t kLater = 10;
+  Rng rng(41);
+  const Dataset queries = SampleStandardGaussian(1 + kLater, 2, rng);
+  auto reference = api::Train(TrainingData(), SmallOptions(1));
+  ASSERT_TRUE(reference.ok()) << reference.message();
+  const auto point = [&](uint64_t row) {
+    const auto x = queries.Row(row);
+    return std::vector<double>(x.begin(), x.end());
+  };
+
+  MicroBatcher batcher(BatcherOptions(), MakeModel(2), nullptr);
+  batcher.Start();
+
+  // The first request's completion wedges the dispatcher mid-batch.
+  std::promise<void> wedge_reached;
+  std::promise<void> release;
+  std::shared_future<void> release_future(release.get_future());
+  std::promise<Response> first;
+  ASSERT_TRUE(batcher.Submit(ClassifyRequest(1, point(0)),
+                             [&](const Response& response) {
+                               first.set_value(response);
+                               wedge_reached.set_value();
+                               release_future.wait();
+                             }));
+  wedge_reached.get_future().wait();
+
+  ResponseLog log;
+  for (uint64_t id = 2; id <= 1 + kLater; ++id) {
+    ASSERT_TRUE(batcher.Submit(ClassifyRequest(id, point(id - 1)), log.Sink()));
+  }
+  release.set_value();
+  log.AwaitCount(kLater);
+  batcher.Stop();
+
+  std::map<uint64_t, Response> responses = log.responses();
+  responses.emplace(1, first.get_future().get());
+  ASSERT_EQ(responses.size(), 1 + kLater);
+  EXPECT_EQ(log.duplicates(), 0);
+  for (const auto& [id, response] : responses) {
+    const bool high = reference.value()->Classify(queries.Row(id - 1)) ==
+                      Classification::kHigh;
+    EXPECT_EQ(response.code, ResponseCode::kOk) << "id " << id;
+    EXPECT_EQ(response.body, high ? "HIGH" : "LOW") << "id " << id;
+  }
+  const auto totals = batcher.snapshot();
+  EXPECT_EQ(totals.batches, 2u);
+  EXPECT_EQ(totals.completed, 1 + kLater);
+}
+
 }  // namespace
 }  // namespace tkdc::serve

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "data/generators.h"
 #include "serve/router.h"
 #include "serve/server.h"
+#include "tcp_test_util.h"
 #include "tkdc_api.h"
 
 namespace tkdc::serve {
@@ -27,75 +27,8 @@ using std::chrono::milliseconds;
 
 const std::function<bool()> kNeverStop = [] { return false; };
 
-/// Captures RunTcp's "listening on 127.0.0.1:<port>" announcement.
-class AnnounceStream : public std::ostream {
- public:
-  AnnounceStream() : std::ostream(&buf_), buf_(this) {}
-
-  uint16_t AwaitPort() {
-    const std::string text = port_future_.get();
-    const size_t colon = text.rfind(':');
-    EXPECT_NE(colon, std::string::npos) << text;
-    return static_cast<uint16_t>(std::stoi(text.substr(colon + 1)));
-  }
-
- private:
-  class Buf : public std::stringbuf {
-   public:
-    explicit Buf(AnnounceStream* owner) : owner_(owner) {}
-    int sync() override {
-      if (!owner_->port_set_) {
-        owner_->port_set_ = true;
-        owner_->port_promise_.set_value(str());
-      }
-      return 0;
-    }
-
-   private:
-    AnnounceStream* owner_;
-  };
-
-  Buf buf_;
-  bool port_set_ = false;
-  std::promise<std::string> port_promise_;
-  std::future<std::string> port_future_ = port_promise_.get_future();
-};
-
-/// One in-process tkdc_serve worker on an ephemeral TCP port.
-class Worker {
- public:
-  explicit Worker(ServerOptions options) {
-    options.terminate = &terminate_;
-    auto created = Server::Create(std::move(options));
-    EXPECT_TRUE(created.ok()) << created.message();
-    server_ = created.take();
-    runner_ = std::thread([this] {
-      exit_code_ = server_->RunTcp(/*port=*/0, announce_);
-    });
-    port_ = announce_.AwaitPort();
-    EXPECT_GT(port_, 0);
-  }
-
-  ~Worker() { Kill(); }
-
-  uint16_t port() const { return port_; }
-  std::string address() const { return "127.0.0.1:" + std::to_string(port_); }
-
-  int Kill() {
-    if (!runner_.joinable()) return exit_code_;
-    terminate_.store(true);
-    runner_.join();
-    return exit_code_;
-  }
-
- private:
-  std::atomic<bool> terminate_{false};
-  std::unique_ptr<Server> server_;
-  AnnounceStream announce_;
-  std::thread runner_;
-  uint16_t port_ = 0;
-  int exit_code_ = -1;
-};
+using tcp_test::AnnounceStream;
+using tcp_test::TcpServer;
 
 /// Two real workers sharing one model-dir behind a pipe-mode router.
 class FleetE2eTest : public ::testing::Test {
@@ -146,8 +79,8 @@ class FleetE2eTest : public ::testing::Test {
 };
 
 TEST_F(FleetE2eTest, TwoWorkersServeScopedTrafficAndSurviveAKill) {
-  auto first = std::make_unique<Worker>(WorkerOptions());
-  auto second = std::make_unique<Worker>(WorkerOptions());
+  auto first = std::make_unique<TcpServer>(WorkerOptions());
+  auto second = std::make_unique<TcpServer>(WorkerOptions());
 
   RouterOptions router_options;
   router_options.workers = {first->address(), second->address()};
@@ -238,6 +171,32 @@ TEST_F(FleetE2eTest, TwoWorkersServeScopedTrafficAndSurviveAKill) {
   EXPECT_EQ(exit_code, 0);
   close(from_router[0]);
   EXPECT_EQ(second->Kill(), 0);
+}
+
+// Through a TCP router, pipelined answers are not held either: the router's
+// accepted client connections and its worker dials both run without
+// Nagle's algorithm.
+TEST_F(FleetE2eTest, PipelinedAnswersThroughTheRouterAreNotHeld) {
+  TcpServer worker(WorkerOptions());
+  std::atomic<bool> terminate{false};
+  RouterOptions router_options;
+  router_options.workers = {worker.address()};
+  router_options.terminate = &terminate;
+  auto created = Router::Create(router_options);
+  ASSERT_TRUE(created.ok()) << created.message();
+  Router& router = *created.value();
+  AnnounceStream announce;
+  int exit_code = -1;
+  std::thread runner([&] { exit_code = router.RunTcp(/*port=*/0, announce); });
+  const uint16_t port = announce.AwaitPort();
+  ASSERT_GT(port, 0);
+
+  tcp_test::ExpectPipelinedAnswersNotHeld(port);
+
+  terminate.store(true);
+  runner.join();
+  EXPECT_EQ(exit_code, 0);
+  EXPECT_EQ(worker.Kill(), 0);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +90,28 @@ TEST(ServeProtocolTest, RejectsNonFiniteCoordinates) {
   EXPECT_FALSE(ParseRequest("1 CLASSIFY nan,0").ok());
   EXPECT_FALSE(ParseRequest("1 CLASSIFY inf,0").ok());
   EXPECT_FALSE(ParseRequest("1 ESTIMATE 1,,2").ok());  // Empty coordinate.
+}
+
+// DELETE matches points by their bits, so every accepted spelling must give
+// exactly the double strtod gives.
+TEST(ServeProtocolTest, CoordinatesParseToTheBitsStrtodGives) {
+  for (const char* cell : {"+1.5", "1e-3", "-0", "2.5E+2", "0.1", "-7.25e-12",
+                           "1e-310", "1e-400"}) {
+    auto parsed = ParseRequest(std::string("1 CLASSIFY ") + cell + ",0");
+    ASSERT_TRUE(parsed.ok()) << cell << ": " << parsed.message();
+    const double expected = std::strtod(cell, nullptr);
+    const double got = parsed.value().point[0];
+    EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
+        << cell << " parsed as " << got;
+  }
+}
+
+TEST(ServeProtocolTest, RejectsHexFloatsSignRunsAndWhitespace) {
+  EXPECT_FALSE(ParseRequest("1 CLASSIFY 0x1p3,0").ok());
+  EXPECT_FALSE(ParseRequest("1 CLASSIFY 0,\t1").ok());
+  EXPECT_FALSE(ParseRequest("1 CLASSIFY +-1,0").ok());
+  EXPECT_FALSE(ParseRequest("1 CLASSIFY +,0").ok());
+  EXPECT_FALSE(ParseRequest("1 CLASSIFY 1e400,0").ok());  // Overflows.
 }
 
 TEST(ServeProtocolTest, RendersResponses) {

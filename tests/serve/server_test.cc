@@ -1,8 +1,5 @@
 #include "serve/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -10,9 +7,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +19,7 @@
 
 #include "data/generators.h"
 #include "serve/protocol.h"
+#include "tcp_test_util.h"
 #include "tkdc_api.h"
 
 namespace tkdc::serve {
@@ -318,53 +316,9 @@ TEST_F(ServeServerTest, MetricsOutWrittenAtShutdown) {
 
 // --- TCP mode ------------------------------------------------------------
 
-/// Captures the "listening on 127.0.0.1:<port>" announcement, which RunTcp
-/// flushes from its own thread, via a promise set on sync().
-class AnnounceStream : public std::ostream {
- public:
-  AnnounceStream() : std::ostream(&buf_), buf_(this) {}
-
-  uint16_t AwaitPort() {
-    const std::string text = port_future_.get();
-    const size_t colon = text.rfind(':');
-    EXPECT_NE(colon, std::string::npos) << text;
-    return static_cast<uint16_t>(std::stoi(text.substr(colon + 1)));
-  }
-
- private:
-  class Buf : public std::stringbuf {
-   public:
-    explicit Buf(AnnounceStream* owner) : owner_(owner) {}
-    int sync() override {
-      if (!owner_->port_set_) {
-        owner_->port_set_ = true;
-        owner_->port_promise_.set_value(str());
-      }
-      return 0;
-    }
-
-   private:
-    AnnounceStream* owner_;
-  };
-
-  Buf buf_;
-  bool port_set_ = false;
-  std::promise<std::string> port_promise_;
-  std::future<std::string> port_future_ = port_promise_.get_future();
-};
-
-int ConnectLoopback(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0)
-      << strerror(errno);
-  return fd;
-}
+using tcp_test::AnnounceStream;
+using tcp_test::ConnectLoopback;
+using tcp_test::TcpServer;
 
 TEST_F(ServeServerTest, TcpModeServesConcurrentConnections) {
   std::atomic<bool> terminate{false};
@@ -416,6 +370,71 @@ TEST_F(ServeServerTest, TcpModeServesConcurrentConnections) {
   terminate.store(true);
   runner.join();
   EXPECT_EQ(exit_code, 0);
+}
+
+// Two answers ready at once must leave at once: neither Nagle's algorithm
+// nor a batch window may hold the second until the client's delayed ACK.
+TEST_F(ServeServerTest, PipelinedAnswersAreNotHeld) {
+  TcpServer server(BaseOptions());
+  tcp_test::ExpectPipelinedAnswersNotHeld(server.port());
+  EXPECT_EQ(server.Kill(), 0);
+}
+
+// Many answers of one batch go to one connection in one coalesced write
+// while the connection thread writes PONGs to the same socket: every frame
+// arrives whole and every id is answered exactly once.
+TEST_F(ServeServerTest, OneBatchOfAnswersToOneConnectionArrivesWhole) {
+  constexpr uint64_t kClassifies = 16;
+  constexpr uint64_t kPings = 64;
+  ServerOptions options = BaseOptions();
+  options.batcher.batch_window_us = 5000;  // The 16 CLASSIFYs form one batch.
+  TcpServer server(std::move(options));
+  const int fd = ConnectLoopback(server.port());
+  std::mutex write_mutex;  // Each client write() carries whole frames.
+  const auto send = [&](const std::string& bytes) {
+    std::lock_guard<std::mutex> lock(write_mutex);
+    EXPECT_EQ(write(fd, bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+  };
+
+  std::string classifies;
+  for (uint64_t id = 1; id <= kClassifies; ++id) {
+    classifies += EncodeFrame(
+        std::to_string(id) + " CLASSIFY " + std::to_string(0.1 * id) + ",-0.2",
+        Framing::kLengthPrefixed);
+  }
+  std::thread pinger([&] {
+    for (uint64_t id = 1000; id < 1000 + kPings; ++id) {
+      send(EncodeFrame(std::to_string(id) + " PING",
+                       Framing::kLengthPrefixed));
+    }
+  });
+  send(classifies);
+  pinger.join();
+
+  FrameReader reader(fd, Framing::kLengthPrefixed);
+  std::map<uint64_t, int> answered;
+  for (uint64_t i = 0; i < kClassifies + kPings; ++i) {
+    auto next = reader.Next(kNeverStop);
+    ASSERT_TRUE(next.ok()) << next.message();
+    ASSERT_TRUE(next.value().has_value());
+    const std::string& line = *next.value();
+    const size_t space = line.find(' ');
+    const uint64_t id = std::stoull(line.substr(0, space));
+    const std::string body = line.substr(space + 1);
+    ++answered[id];
+    if (id >= 1000) {
+      EXPECT_EQ(body, "OK PONG") << line;
+    } else {
+      EXPECT_TRUE(body == "OK HIGH" || body == "OK LOW") << line;
+    }
+  }
+  close(fd);
+  ASSERT_EQ(answered.size(), kClassifies + kPings);
+  for (const auto& [id, count] : answered) EXPECT_EQ(count, 1) << "id " << id;
+  // At least some answers shared a batch, so the coalesced write ran.
+  EXPECT_LT(server.server().batcher().snapshot().batches, kClassifies);
+  EXPECT_EQ(server.Kill(), 0);
 }
 
 }  // namespace

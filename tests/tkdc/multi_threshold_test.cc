@@ -161,5 +161,15 @@ TEST(MultiThresholdTest, OneTraversalPerQuery) {
   EXPECT_LT(ladder_cost, singles_cost);
 }
 
+TEST(MultiThresholdTest, RetrainingReportsTheSameWorkCount) {
+  LadderFixture f;
+  const uint64_t first = f.ladder.kernel_evaluations();
+  EXPECT_GT(first, 0u);
+  f.ladder.Train(f.data);
+  EXPECT_EQ(f.ladder.kernel_evaluations(), first);
+  f.ladder.Train(f.data);
+  EXPECT_EQ(f.ladder.kernel_evaluations(), first);
+}
+
 }  // namespace
 }  // namespace tkdc
