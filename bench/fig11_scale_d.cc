@@ -3,10 +3,7 @@
 // index-based method slows with d, but tKDC keeps at least an
 // order-of-magnitude lead across 1 <= d <= 27.
 //
-// The --index flag selects the spatial-index backend for the tree-backed
-// algorithms; the index column records which one each row measured, and
-// the nodes/q column its mean node expansions per tkdc query (the ball
-// tree's tighter high-d bounds show up there first).
+// The nodes/q column is the mean node expansions per tkdc query.
 
 #include <iostream>
 #include <vector>
@@ -27,7 +24,7 @@ int main(int argc, char** argv) {
 
   const size_t n = static_cast<size_t>(10'000 * args.scale);
   const std::vector<size_t> dims{1, 2, 4, 8, 16, 27};
-  TablePrinter table({"d", "index", "tkdc q/s", "nodes/q", "nocut q/s",
+  TablePrinter table({"d", "tkdc q/s", "nodes/q", "nocut q/s",
                       "rkde q/s", "simple q/s", "tkdc/simple"});
   for (size_t d : dims) {
     Workload workload;
@@ -42,7 +39,6 @@ int main(int argc, char** argv) {
     options.max_queries = 10'000;
 
     TkdcConfig config;
-    config.index_backend = args.index_backend;
     TkdcClassifier tkdc_algo(config);
     const RunResult tkdc_result = RunClassifier(tkdc_algo, data, options);
     const TraversalStats tkdc_stats = tkdc_algo.query_stats();
@@ -53,16 +49,13 @@ int main(int argc, char** argv) {
             : 0.0;
     NocutClassifier nocut_algo(config);
     const RunResult nocut_result = RunClassifier(nocut_algo, data, options);
-    RkdeOptions rkde_options;
-    rkde_options.base.index_backend = args.index_backend;
-    RkdeClassifier rkde_algo(rkde_options);
+    RkdeClassifier rkde_algo;
     const RunResult rkde_result = RunClassifier(rkde_algo, data, options);
     SimpleKdeClassifier simple_algo;
     const RunResult simple_result =
         RunClassifier(simple_algo, data, options);
 
     table.AddRow({std::to_string(d),
-                  IndexBackendName(args.index_backend),
                   FormatSi(tkdc_result.amortized_throughput),
                   FormatSi(nodes_per_query),
                   FormatSi(nocut_result.amortized_throughput),

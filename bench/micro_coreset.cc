@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
   api::TrainOptions plain_options;
   plain_options.config.epsilon = epsilon;
   plain_options.config.seed = args.seed;
-  plain_options.config.index_backend = args.index_backend;
   plain_options.config.num_threads = 1;
   auto plain = api::Train(data, plain_options);
   if (!plain.ok()) {

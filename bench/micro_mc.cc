@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   std::cout << "Multi-class cross-class pruning vs per-class sequential "
                "refinement\n"
             << "(" << per_class << " points/class, " << dims << "-d, "
-            << num_queries << " queries, backend "
-            << IndexBackendName(args.index_backend) << ")\n\n";
+            << num_queries << " queries)\n\n";
 
   TablePrinter table({"K", "mc nodes/q", "seq nodes/q", "seq/mc", "agree",
                       "mc us/q", "seq us/q"});
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
     }
 
     TkdcConfig config;
-    config.index_backend = args.index_backend;
     config.seed = args.seed;
     MultiClassClassifier mc(config);
     if (const Status status =
@@ -204,8 +202,6 @@ int main(int argc, char** argv) {
     out << "  \"dims\": " << dims << ",\n";
     out << "  \"per_class\": " << per_class << ",\n";
     out << "  \"queries\": " << num_queries << ",\n";
-    out << "  \"backend\": \"" << IndexBackendName(args.index_backend)
-        << "\",\n";
     out << "  \"seed\": " << args.seed << ",\n";
     out << "  \"results\": [\n";
     for (size_t i = 0; i < records.size(); ++i) {

@@ -16,7 +16,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "index/kdtree.h"
+#include "index/spatial_index.h"
 #include "kde/bandwidth.h"
 #include "tkdc/classifier.h"
 #include "tkdc/density_bounds.h"
@@ -30,7 +30,7 @@ constexpr size_t kBatchQueries = 2'000;
 struct Fixture {
   Dataset data;
   TkdcConfig config;
-  KdTree tree;
+  SpatialIndex tree;
   Kernel kernel;
 
   static Fixture& Get() {

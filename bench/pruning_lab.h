@@ -15,7 +15,7 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "data/dataset.h"
-#include "index/kdtree.h"
+#include "index/spatial_index.h"
 #include "kde/bandwidth.h"
 #include "kde/kernel.h"
 #include "kde/query_metrics.h"
@@ -62,11 +62,7 @@ inline PruningLabResult RunPruningLab(const Dataset& data, double threshold,
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  IndexOptions tree_options;
-  tree_options.leaf_size = config.leaf_size;
-  tree_options.split_rule = config.split_rule;
-  tree_options.axis_rule = config.axis_rule;
-  KdTree tree(data, tree_options);
+  SpatialIndex tree(data, config.MakeIndexOptions());
   DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   std::unique_ptr<GridCache> grid;
   if (lab.grid && data.dims() <= GridCache::kMaxDims) {
@@ -103,7 +99,7 @@ inline PruningLabResult RunPruningLab(const Dataset& data, double threshold,
     ++measured;
     if (measured >= 16 && timer.ElapsedSeconds() > budget_seconds) break;
   }
-  if (observed) registry->Absorb(*ctx.metrics);
+  if (registry != nullptr) registry->Absorb(*ctx.metrics);
   PruningLabResult result;
   result.label = lab.label;
   result.queries = measured;

@@ -25,12 +25,9 @@ std::shared_ptr<KnnModel> KnnClassifier::BuildModel(
                prebuilt_index->dims() == data.dims());
     model->tree = std::move(prebuilt_index);
   } else {
-    // kNN searches raw coordinates, so the ball-tree radius metric is the
-    // unscaled Euclidean one (empty scale = all-ones).
     IndexOptions tree_options;
     tree_options.leaf_size = options_.leaf_size;
-    tree_options.backend = options_.index_backend;
-    model->tree = BuildIndex(data, std::move(tree_options));
+    model->tree = std::make_unique<const SpatialIndex>(data, tree_options);
   }
   model->unit_scale.assign(data.dims(), 1.0);
   const double d = static_cast<double>(data.dims());

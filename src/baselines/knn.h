@@ -21,9 +21,6 @@ struct KnnOptions {
   size_t k = 10;
   /// Index leaf capacity.
   size_t leaf_size = 32;
-  /// Spatial-index backend; honors the TKDC_INDEX env override like
-  /// TkdcConfig does.
-  IndexBackend index_backend = DefaultIndexBackend();
   /// Training points sampled to fix the threshold quantile (0 = all).
   size_t threshold_sample = 0;
   uint64_t seed = 0;
@@ -73,10 +70,6 @@ class KnnClassifier : public DensityClassifier {
     return model_ != nullptr ? model_->tree->dims() : 0;
   }
   double threshold() const override;
-  std::optional<IndexBackend> index_backend() const override {
-    return model_ != nullptr ? std::optional(model_->tree->backend())
-                             : std::nullopt;
-  }
 
   std::unique_ptr<QueryContext> MakeQueryContext() const override {
     return std::make_unique<KnnQueryContext>();

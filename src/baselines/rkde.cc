@@ -31,8 +31,8 @@ std::shared_ptr<RkdeModel> RkdeClassifier::BuildModel(
                prebuilt_index->dims() == data.dims());
     model->tree = std::move(prebuilt_index);
   } else {
-    model->tree = BuildIndex(
-        data, config.MakeIndexOptions(model->kernel->inverse_bandwidths()));
+    model->tree =
+        std::make_unique<const SpatialIndex>(data, config.MakeIndexOptions());
   }
   model->self_contribution =
       model->kernel->MaxValue() / static_cast<double>(data.size());

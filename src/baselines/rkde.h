@@ -59,10 +59,6 @@ class RkdeClassifier : public DensityClassifier {
     return model_ != nullptr ? model_->tree->dims() : 0;
   }
   double threshold() const override;
-  std::optional<IndexBackend> index_backend() const override {
-    return model_ != nullptr ? std::optional(model_->tree->backend())
-                             : std::nullopt;
-  }
 
   std::unique_ptr<QueryContext> MakeQueryContext() const override {
     return std::make_unique<TreeQueryContext>();

@@ -22,12 +22,11 @@ constexpr const char kUsage[] =
     "  train     --input X.csv --model M.tkdc [--algorithm NAME] [--p F]\n"
     "            [--epsilon F] [--coreset-epsilon F] [--b F] [--k N]\n"
     "            [--kernel gaussian|epanechnikov|uniform|biweight]\n"
-    "            [--split trimmed|median|midpoint] [--index kdtree|balltree]\n"
-    "            [--no-grid] [--fast-math-leaf] [--seed N]\n"
-    "            [--threads N] [--header] [--no-densities]\n"
+    "            [--split trimmed|median|midpoint] [--no-grid]\n"
+    "            [--fast-math-leaf] [--seed N] [--threads N] [--header]\n"
+    "            [--no-densities]\n"
     "  (--algorithm: tkdc (default), nocut, simple, rkde, binned, knn, or\n"
-    "   tkdc-mc; --k applies to knn only; --index picks the spatial-index\n"
-    "   backend for tree-based algorithms, default kdtree or $TKDC_INDEX;\n"
+    "   tkdc-mc; --k applies to knn only;\n"
     "   --fast-math-leaf: vectorized exp approximation in Gaussian leaf\n"
     "   scans — near-exact densities, not bit-identical to the default.\n"
     "   --coreset-epsilon: spend this share of --epsilon on epsilon-coreset\n"
@@ -197,15 +196,6 @@ int CmdTrain(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
       return 2;
     }
     config.split_rule = *rule;
-  }
-  if (const auto index = parsed.Value("--index")) {
-    const auto backend = IndexBackendFromName(*index);
-    if (!backend.has_value()) {
-      err << "unknown index backend: " << *index
-          << " (available: kdtree balltree)\n";
-      return 2;
-    }
-    config.index_backend = *backend;
   }
   if (parsed.Flag("--no-grid")) config.use_grid = false;
   if (parsed.Flag("--fast-math-leaf")) config.fast_math_leaf = true;

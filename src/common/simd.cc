@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "common/simd_internal.h"
 
@@ -82,35 +81,9 @@ void BoxPairScaledSquaredDistanceBoundsScalar(
   out[3] = z_max1;
 }
 
-void CentroidPairScaledSquaredDistancesScalar(
-    const double* c0, const double* c1, const double* x,
-    const double* inv_bw, const double* inv_scale, size_t dims,
-    double dist_sq[2], double* factor_hi, double* factor_lo) {
-  double d0 = 0.0;
-  double d1 = 0.0;
-  double f_hi = 0.0;
-  double f_lo = std::numeric_limits<double>::infinity();
-  for (size_t j = 0; j < dims; ++j) {
-    const double xj = x[j];
-    const double bj = inv_bw[j];
-    const double u0 = (xj - c0[j]) * bj;
-    const double u1 = (xj - c1[j]) * bj;
-    d0 += u0 * u0;
-    d1 += u1 * u1;
-    const double f = bj * inv_scale[j];
-    if (f > f_hi) f_hi = f;
-    if (f < f_lo) f_lo = f;
-  }
-  dist_sq[0] = d0;
-  dist_sq[1] = d1;
-  *factor_hi = f_hi;
-  *factor_lo = f_lo;
-}
-
 constexpr SimdOps kScalarOps = {
     &SoaScaledSquaredDistancesScalar,
     &BoxPairScaledSquaredDistanceBoundsScalar,
-    &CentroidPairScaledSquaredDistancesScalar,
 };
 
 // --- Backend resolution --------------------------------------------------
@@ -191,16 +164,6 @@ void BoxPairScaledSquaredDistanceBounds(const double* lo0, const double* hi0,
                                         size_t dims, double out[4]) {
   SimdOpsFor(ActiveSimdBackend())
       ->box_pair_bounds(lo0, hi0, lo1, hi1, x, inv_bw, dims, out);
-}
-
-void CentroidPairScaledSquaredDistances(const double* c0, const double* c1,
-                                        const double* x, const double* inv_bw,
-                                        const double* inv_scale, size_t dims,
-                                        double dist_sq[2], double* factor_hi,
-                                        double* factor_lo) {
-  SimdOpsFor(ActiveSimdBackend())
-      ->centroid_pair_distances(c0, c1, x, inv_bw, inv_scale, dims, dist_sq,
-                                factor_hi, factor_lo);
 }
 
 }  // namespace simd

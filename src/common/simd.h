@@ -79,10 +79,9 @@ namespace simd {
 //     what one AVX2 register reduction performs (low half + high half,
 //     then horizontal add), and the scalar backend executes the identical
 //     schedule.
-//  3. A *per-bound* box/centroid accumulation (Eq. 6 node bounds) is
-//     sequential over dimensions, one bound per lane, so a batched
-//     children call is bitwise equal to the per-child scalar calls it
-//     replaces.
+//  3. A *per-bound* box accumulation (Eq. 6 node bounds) is sequential
+//     over dimensions, one bound per lane, so a batched children call is
+//     bitwise equal to the per-child scalar calls it replaces.
 //
 // The SIMD translation units are compiled without FMA contraction
 // (-ffp-contract=off, and no fused intrinsics), so mul+add sequences round
@@ -110,16 +109,6 @@ void BoxPairScaledSquaredDistanceBounds(const double* lo0, const double* hi0,
                                         const double* x, const double* inv_bw,
                                         size_t dims, double out[4]);
 
-/// Ball-tree companion: scaled squared centroid distances from `x` to two
-/// centroids in one pass, plus the shared worst/best-axis radius
-/// conversion factors max_j / min_j of inv_bw[j] * inv_scale[j]. Bitwise
-/// equal to two BallTree::CentroidDistanceAndRadii dimension loops.
-void CentroidPairScaledSquaredDistances(const double* c0, const double* c1,
-                                        const double* x, const double* inv_bw,
-                                        const double* inv_scale, size_t dims,
-                                        double dist_sq[2], double* factor_hi,
-                                        double* factor_lo);
-
 /// Backend function table. The dispatched wrappers above route through
 /// ActiveSimdBackend(); tests grab a specific table to compare backends
 /// directly.
@@ -132,11 +121,6 @@ struct SimdOps {
                           const double* lo1, const double* hi1,
                           const double* x, const double* inv_bw, size_t dims,
                           double out[4]);
-  void (*centroid_pair_distances)(const double* c0, const double* c1,
-                                  const double* x, const double* inv_bw,
-                                  const double* inv_scale, size_t dims,
-                                  double dist_sq[2], double* factor_hi,
-                                  double* factor_lo);
 };
 
 /// The table for `backend`; null when the backend is not compiled in.

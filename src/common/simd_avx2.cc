@@ -10,8 +10,6 @@
 
 #include <immintrin.h>
 
-#include <limits>
-
 namespace tkdc {
 namespace simd {
 namespace {
@@ -61,32 +59,9 @@ void BoxPairScaledSquaredDistanceBoundsAvx2(
   _mm256_storeu_pd(out, acc);
 }
 
-void CentroidPairScaledSquaredDistancesAvx2(
-    const double* c0, const double* c1, const double* x,
-    const double* inv_bw, const double* inv_scale, size_t dims,
-    double dist_sq[2], double* factor_hi, double* factor_lo) {
-  __m128d acc = _mm_setzero_pd();
-  __m128d f_hi = _mm_setzero_pd();
-  __m128d f_lo = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  for (size_t j = 0; j < dims; ++j) {
-    const __m128d xj = _mm_set1_pd(x[j]);
-    const __m128d bj = _mm_set1_pd(inv_bw[j]);
-    const __m128d c = _mm_set_pd(c1[j], c0[j]);
-    const __m128d u = _mm_mul_pd(_mm_sub_pd(xj, c), bj);
-    acc = _mm_add_pd(acc, _mm_mul_pd(u, u));
-    const __m128d f = _mm_mul_pd(bj, _mm_set1_pd(inv_scale[j]));
-    f_hi = _mm_max_pd(f_hi, f);
-    f_lo = _mm_min_pd(f_lo, f);
-  }
-  _mm_storeu_pd(dist_sq, acc);
-  *factor_hi = _mm_cvtsd_f64(f_hi);
-  *factor_lo = _mm_cvtsd_f64(f_lo);
-}
-
 constexpr SimdOps kAvx2Ops = {
     &SoaScaledSquaredDistancesAvx2,
     &BoxPairScaledSquaredDistanceBoundsAvx2,
-    &CentroidPairScaledSquaredDistancesAvx2,
 };
 
 }  // namespace

@@ -9,8 +9,6 @@
 
 #include <arm_neon.h>
 
-#include <limits>
-
 namespace tkdc {
 namespace simd {
 namespace {
@@ -67,32 +65,9 @@ void BoxPairScaledSquaredDistanceBoundsNeon(
   vst1q_f64(out + 2, acc1);
 }
 
-void CentroidPairScaledSquaredDistancesNeon(
-    const double* c0, const double* c1, const double* x,
-    const double* inv_bw, const double* inv_scale, size_t dims,
-    double dist_sq[2], double* factor_hi, double* factor_lo) {
-  float64x2_t acc = vdupq_n_f64(0.0);
-  float64x2_t f_hi = vdupq_n_f64(0.0);
-  float64x2_t f_lo = vdupq_n_f64(std::numeric_limits<double>::infinity());
-  for (size_t j = 0; j < dims; ++j) {
-    const float64x2_t xj = vdupq_n_f64(x[j]);
-    const float64x2_t bj = vdupq_n_f64(inv_bw[j]);
-    const float64x2_t c = vsetq_lane_f64(c1[j], vdupq_n_f64(c0[j]), 1);
-    const float64x2_t u = vmulq_f64(vsubq_f64(xj, c), bj);
-    acc = vaddq_f64(acc, vmulq_f64(u, u));
-    const float64x2_t f = vmulq_f64(bj, vdupq_n_f64(inv_scale[j]));
-    f_hi = vmaxq_f64(f_hi, f);
-    f_lo = vminq_f64(f_lo, f);
-  }
-  vst1q_f64(dist_sq, acc);
-  *factor_hi = vgetq_lane_f64(f_hi, 0);
-  *factor_lo = vgetq_lane_f64(f_lo, 0);
-}
-
 constexpr SimdOps kNeonOps = {
     &SoaScaledSquaredDistancesNeon,
     &BoxPairScaledSquaredDistanceBoundsNeon,
-    &CentroidPairScaledSquaredDistancesNeon,
 };
 
 }  // namespace

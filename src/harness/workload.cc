@@ -39,15 +39,10 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
       TKDC_CHECK_MSG(args.budget_seconds > 0.0, "--budget must be positive");
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       args.threads = static_cast<size_t>(std::atoll(arg + 10));
-    } else if (std::strncmp(arg, "--index=", 8) == 0) {
-      const auto backend = IndexBackendFromName(arg + 8);
-      TKDC_CHECK_MSG(backend.has_value(),
-                     "--index must be kdtree or balltree");
-      args.index_backend = *backend;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--scale=F] [--seed=N] [--budget=SECONDS] "
-                   "[--threads=N] [--index=kdtree|balltree]\n",
+                   "[--threads=N]\n",
                    argv[0]);
       std::exit(2);
     }

@@ -6,7 +6,6 @@
 
 #include "data/dataset.h"
 #include "data/datasets.h"
-#include "index/index_backend.h"
 
 namespace tkdc {
 
@@ -31,14 +30,11 @@ struct Workload {
 ///   --budget=<seconds>  per-measurement query time budget
 ///   --threads=<int>     worker threads for batch-capable algorithms
 ///                       (0 = hardware concurrency, 1 = serial)
-///   --index=<name>      spatial-index backend for tree-backed algorithms
-///                       (kdtree | balltree; default kdtree or $TKDC_INDEX)
 struct BenchArgs {
   double scale = 1.0;
   uint64_t seed = 42;
   double budget_seconds = 1.5;
   size_t threads = 0;
-  IndexBackend index_backend = DefaultIndexBackend();
 
   /// Parses argv; unknown flags abort with a usage message.
   static BenchArgs Parse(int argc, char** argv);

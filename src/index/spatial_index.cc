@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "index/ball_tree.h"
-#include "index/kdtree.h"
 
 namespace tkdc {
 
@@ -18,20 +16,24 @@ SpatialIndex::SpatialIndex(const Dataset& data, IndexOptions options)
   points_ = data.values();
   original_index_.resize(size_);
   for (size_t i = 0; i < size_; ++i) original_index_[i] = i;
+  BuildTree();
 }
 
 SpatialIndex::SpatialIndex(size_t dims, std::vector<double> reordered_points,
                            std::vector<size_t> original_index,
-                           std::vector<IndexNode> nodes, IndexOptions options)
+                           std::vector<IndexNode> nodes,
+                           std::vector<BoundingBox> boxes, IndexOptions options)
     : dims_(dims),
       size_(original_index.size()),
       options_(std::move(options)),
       points_(std::move(reordered_points)),
       original_index_(std::move(original_index)),
-      nodes_(std::move(nodes)) {
+      nodes_(std::move(nodes)),
+      boxes_(std::move(boxes)) {
   TKDC_CHECK(dims_ >= 1 && size_ >= 1);
   TKDC_CHECK(points_.size() == size_ * dims_);
   TKDC_CHECK(!nodes_.empty());
+  TKDC_CHECK(boxes_.size() == nodes_.size());
   TKDC_CHECK_MSG(options_.leaf_size >= 1, "index leaf_size must be >= 1");
   // The SoA mirror is derived state: rebuilt from the restored reordered
   // points, never read from the model payload.
@@ -61,12 +63,13 @@ void SpatialIndex::BuildTree() {
     stack.pop_back();
     const IndexNode& pre = nodes_[frame.node_index];
     // The node's point set is final once it exists (its own partition only
-    // reorders within the range), so the geometry is computed before
-    // splitting and both see the same points.
-    const BoundingBox box =
+    // reorders within the range), so the box is computed before splitting
+    // and both see the same points.
+    BoundingBox box =
         BoundingBox::FromPoints(points_.data(), dims_, pre.begin, pre.end);
-    SetNodeGeometry(frame.node_index, box);
     SplitNode(frame.node_index, frame.depth, box, scratch);
+    boxes_.resize(nodes_.size());
+    boxes_[frame.node_index] = std::move(box);
     const IndexNode& node = nodes_[frame.node_index];
     if (!node.is_leaf()) {
       stack.push_back({static_cast<size_t>(node.left), frame.depth + 1});
@@ -111,16 +114,6 @@ void SpatialIndex::LeafScaledSquaredDistances(size_t node_index,
   const SoaLeaf leaf = LeafSoa(node_index);
   simd::SoaScaledSquaredDistances(leaf.block, leaf.padded, leaf.count, dims_,
                                   x.data(), inv_bw.data(), out);
-}
-
-void SpatialIndex::NodeChildrenScaledSquaredDistanceBounds(
-    size_t node_index, std::span<const double> x,
-    std::span<const double> inv_bw, double out[4]) const {
-  const IndexNode& node = nodes_[node_index];
-  NodeScaledSquaredDistanceBounds(static_cast<size_t>(node.left), x, inv_bw,
-                                  &out[0], &out[1]);
-  NodeScaledSquaredDistanceBounds(static_cast<size_t>(node.right), x, inv_bw,
-                                  &out[2], &out[3]);
 }
 
 void SpatialIndex::SwapPoints(size_t a, size_t b) {
@@ -339,17 +332,6 @@ size_t SpatialIndex::MaxDepth() const {
     }
   }
   return max_depth;
-}
-
-std::unique_ptr<const SpatialIndex> BuildIndex(const Dataset& data,
-                                               IndexOptions options) {
-  switch (options.backend) {
-    case IndexBackend::kBallTree:
-      return std::make_unique<const BallTree>(data, std::move(options));
-    case IndexBackend::kKdTree:
-      break;
-  }
-  return std::make_unique<const KdTree>(data, std::move(options));
 }
 
 }  // namespace tkdc

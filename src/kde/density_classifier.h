@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "common/macros.h"
 #include "common/metrics.h"
 #include "data/dataset.h"
-#include "index/index_backend.h"
 #include "kde/batch_executor.h"
 #include "kde/query_context.h"
 #include "kde/query_metrics.h"
@@ -78,14 +76,6 @@ class DensityClassifier {
   /// unknown). The streaming serve layer sizes rebuild triggers and
   /// staleness fractions with it without knowing the concrete model type.
   virtual size_t training_size() const { return 0; }
-
-  /// The spatial-index backend serving this classifier's queries, or
-  /// nullopt for index-free algorithms (simple, binned). Tree-backed
-  /// engines override this so the metrics layer can split node-expansion
-  /// histograms by backend.
-  virtual std::optional<IndexBackend> index_backend() const {
-    return std::nullopt;
-  }
 
   // --- Engine hooks (the per-algorithm query engine) --------------------
 
@@ -304,7 +294,7 @@ class DensityClassifier {
     const TraversalStats before = ctx.stats;
     const uint64_t grid_before = ctx.grid_prunes;
     const auto result = query();
-    query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
+    query_metrics::RecordQuery(ctx, before, grid_before);
     return result;
   }
 

@@ -23,14 +23,10 @@ void RegisterStandard(MetricsRegistry& registry) {
   TKDC_CHECK(registry.AddCounter("cutoff.exact_leaf") == kCutoffExactLeaf);
   TKDC_CHECK(registry.AddHistogram("query.prune_depth", work) == kPruneDepth);
   TKDC_CHECK(registry.AddHistogram("query.leaf_points", work) == kLeafPoints);
-  TKDC_CHECK(registry.AddHistogram("query.kernel_evals", work) ==
+  TKDC_CHECK(registry.AddHistogram("query.kernel_evals", std::move(work)) ==
              kKernelEvals);
   TKDC_CHECK(registry.AddHistogram("query.bound_gap_rel", std::move(gap)) ==
              kBoundGap);
-  TKDC_CHECK(registry.AddHistogram("query.node_expansions.kdtree", work) ==
-             kNodeExpansionsKdTree);
-  TKDC_CHECK(registry.AddHistogram("query.node_expansions.balltree",
-                                   std::move(work)) == kNodeExpansionsBallTree);
 }
 
 }  // namespace query_metrics

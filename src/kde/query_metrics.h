@@ -2,10 +2,8 @@
 #define TKDC_KDE_QUERY_METRICS_H_
 
 #include <cstdint>
-#include <optional>
 
 #include "common/metrics.h"
-#include "index/index_backend.h"
 #include "kde/query_context.h"
 
 namespace tkdc {
@@ -42,12 +40,7 @@ inline constexpr size_t kPruneDepth = 0;
 inline constexpr size_t kLeafPoints = 1;
 inline constexpr size_t kKernelEvals = 2;
 inline constexpr size_t kBoundGap = 3;
-// Per-backend node-expansion histograms: tree-backed engines label each
-// query with their index backend, so a mixed fleet (or an A/B run) splits
-// traversal depth by kdtree vs. balltree in one registry.
-inline constexpr size_t kNodeExpansionsKdTree = 4;
-inline constexpr size_t kNodeExpansionsBallTree = 5;
-inline constexpr size_t kHistogramCount = 6;
+inline constexpr size_t kHistogramCount = 4;
 
 /// Registers the standard schema on `registry`. Idempotent; the returned
 /// ids are guaranteed to equal the constants above, whether the registry
@@ -57,28 +50,19 @@ void RegisterStandard(MetricsRegistry& registry);
 /// Records one classified/estimated query into `ctx.metrics` from the
 /// counter deltas accumulated during the call. `before` / `grid_before`
 /// are snapshots of ctx.stats / ctx.grid_prunes taken before the query
-/// ran. `backend` labels the query with the spatial-index backend that
-/// served it (nullopt for index-free algorithms), feeding the per-backend
-/// node-expansion histograms. No-op when no shard is attached.
+/// ran. No-op when no shard is attached.
 inline void RecordQuery(QueryContext& ctx, const TraversalStats& before,
-                        uint64_t grid_before,
-                        std::optional<IndexBackend> backend = std::nullopt) {
+                        uint64_t grid_before) {
   if (ctx.metrics == nullptr) return;
   MetricsShard& m = *ctx.metrics;
-  const double nodes_expanded =
-      static_cast<double>(ctx.stats.nodes_expanded - before.nodes_expanded);
   m.Inc(kQueries);
   m.Inc(kGridPrunes, ctx.grid_prunes - grid_before);
-  m.Observe(kPruneDepth, nodes_expanded);
+  m.Observe(kPruneDepth, static_cast<double>(ctx.stats.nodes_expanded -
+                                             before.nodes_expanded));
   m.Observe(kLeafPoints, static_cast<double>(ctx.stats.leaf_points_evaluated -
                                              before.leaf_points_evaluated));
   m.Observe(kKernelEvals, static_cast<double>(ctx.stats.kernel_evaluations -
                                               before.kernel_evaluations));
-  if (backend.has_value()) {
-    m.Observe(*backend == IndexBackend::kBallTree ? kNodeExpansionsBallTree
-                                                  : kNodeExpansionsKdTree,
-              nodes_expanded);
-  }
 }
 
 }  // namespace query_metrics

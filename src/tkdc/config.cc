@@ -1,7 +1,5 @@
 #include "tkdc/config.h"
 
-#include <utility>
-
 #include "common/macros.h"
 #include "common/parallel.h"
 
@@ -36,13 +34,11 @@ void TkdcConfig::CheckValid() const {
   TKDC_CHECK_MSG(status.ok(), status.message().c_str());
 }
 
-IndexOptions TkdcConfig::MakeIndexOptions(std::vector<double> scale) const {
+IndexOptions TkdcConfig::MakeIndexOptions() const {
   IndexOptions options;
   options.leaf_size = leaf_size;
   options.split_rule = split_rule;
   options.axis_rule = axis_rule;
-  options.backend = index_backend;
-  options.scale = std::move(scale);
   return options;
 }
 
@@ -63,7 +59,6 @@ std::string TkdcConfig::OptimizationSummary() const {
   summary += use_tolerance_rule ? " +tolerance" : " -tolerance";
   summary += use_grid ? " +grid" : " -grid";
   summary += " split=" + SplitRuleName(split_rule);
-  summary += " index=" + IndexBackendName(index_backend);
   summary += " simd=";
   summary += SimdBackendName(ActiveSimdBackend());
   if (fast_math_leaf) summary += " +fast-math-leaf";

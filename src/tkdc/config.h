@@ -5,10 +5,7 @@
 #include <cstdint>
 #include <string>
 
-#include <vector>
-
 #include "common/status.h"
-#include "index/index_backend.h"
 #include "tkdc/error_budget.h"
 #include "index/spatial_index.h"
 #include "index/split_rule.h"
@@ -51,10 +48,6 @@ struct TkdcConfig {
   /// The grid scales exponentially with dimension; the paper disables it
   /// for d > 4.
   size_t grid_max_dims = 4;
-  /// Spatial-index backend behind every traversal (kdtree / balltree).
-  /// The default honors the TKDC_INDEX environment variable, which is how
-  /// the CI ball-tree lane forces the backend without touching configs.
-  IndexBackend index_backend = DefaultIndexBackend();
   /// Index split rule (paper default: trimmed midpoint "equi-width").
   SplitRule split_rule = SplitRule::kTrimmedMidpoint;
   /// Index axis rule (paper default: cycle through dimensions).
@@ -62,7 +55,7 @@ struct TkdcConfig {
   /// Index leaf capacity. One node expansion costs about as much as ~18
   /// SIMD leaf points, so leaves of 128 beat the former 32: a sweep over
   /// 32..512 (DESIGN.md §11) put 128 at or near the best train time and
-  /// per-row cost on both backends at d = 2 to 10.
+  /// per-row cost at d = 2 to 10.
   size_t leaf_size = 128;
 
   // --- Threshold bootstrap (Algorithm 3) ---
@@ -125,10 +118,8 @@ struct TkdcConfig {
   /// One-line human-readable summary of the switch settings.
   std::string OptimizationSummary() const;
 
-  /// The index build options this config implies. `scale` is the ball
-  /// tree's radius metric — pass the kernel's inverse bandwidths so ball
-  /// bounds are tight under the query metric; the k-d tree ignores it.
-  IndexOptions MakeIndexOptions(std::vector<double> scale = {}) const;
+  /// The index build options this config implies.
+  IndexOptions MakeIndexOptions() const;
 };
 
 }  // namespace tkdc

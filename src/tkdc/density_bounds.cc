@@ -12,9 +12,10 @@ namespace {
 // Clamps a child entry's contribution interval by its parent's, scaled to
 // the child's share of the parent's points. Sound because the child's
 // points are a subset of the parent's, so the parent's per-point kernel
-// bounds apply to them too. A no-op for nesting geometries (k-d boxes);
-// for ball trees — whose child balls can extend outside the parent ball —
-// this is what makes f_lo/f_hi tighten monotonically at every expansion.
+// bounds apply to them too. In exact arithmetic a no-op for nested k-d
+// boxes; in floating point it keeps a child's rounded bounds inside its
+// share of the parent's, so f_lo/f_hi tighten monotonically at every
+// expansion.
 void ClampByParent(TraversalQueueEntry& child,
                    const TraversalQueueEntry& parent, double count_ratio) {
   const double floor = parent.min_contribution * count_ratio;

@@ -21,11 +21,10 @@ std::shared_ptr<TkdcModel> BuildTkdcModelSkeleton(
   if (prebuilt_index != nullptr) {
     TKDC_CHECK(prebuilt_index->size() == data.size() &&
                prebuilt_index->dims() == data.dims());
-    model->config.index_backend = prebuilt_index->backend();
     model->tree = std::move(prebuilt_index);
   } else {
-    model->tree = BuildIndex(
-        data, config.MakeIndexOptions(model->kernel->inverse_bandwidths()));
+    model->tree =
+        std::make_unique<const SpatialIndex>(data, config.MakeIndexOptions());
   }
   model->self_contribution =
       model->kernel->MaxValue() / static_cast<double>(data.size());

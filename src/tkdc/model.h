@@ -25,8 +25,7 @@ namespace tkdc {
 /// serializes it without touching the classifier.
 struct TkdcModel {
   /// The configuration the model was trained under. The evaluator borrows
-  /// this copy, so pruning-rule toggles (and the index backend) are frozen
-  /// into the artifact.
+  /// this copy, so pruning-rule toggles are frozen into the artifact.
   TkdcConfig config;
   /// The resolved error-budget decomposition of config.epsilon. Frozen at
   /// build time so every consumer (bounds, engines, serve stats) reads the

@@ -14,8 +14,6 @@
 #include "baselines/rkde.h"
 #include "baselines/simple_kde.h"
 #include "common/macros.h"
-#include "index/ball_tree.h"
-#include "index/kdtree.h"
 #include "index/spatial_index.h"
 
 namespace tkdc {
@@ -33,6 +31,11 @@ constexpr uint32_t kTagBinned = 5;
 constexpr uint32_t kTagKnn = 6;
 // Multi-class container: K, labels, priors, then K nested tkdc sections.
 constexpr uint32_t kTagMultiClass = 7;
+
+// The config block and the index section each keep a word that once
+// selected the spatial index. The k-d tree is the only index, so both are
+// written as 0 and every other value is refused on load.
+constexpr uint32_t kKdTreeIndexWord = 0;
 
 // Guard absurd sizes before allocating (corrupt headers).
 constexpr uint64_t kMaxElements = uint64_t{1} << 34;
@@ -139,14 +142,24 @@ void WriteConfig(Writer& w, const TkdcConfig& config) {
   w.F64(config.h_buffer);
   w.F64(config.h_growth);
   w.U64(config.seed);
-  w.U32(static_cast<uint32_t>(config.index_backend));
+  w.U32(kKdTreeIndexWord);
   w.U8(config.fast_math_leaf ? 1 : 0);
   w.F64(config.coreset_epsilon);
 }
 
-bool ReadConfig(Reader& r, TkdcConfig* config) {
+// Load error for a nonzero index word in `where`.
+std::string UnsupportedIndexError(const std::string& where, uint32_t word) {
+  return where + " names spatial index " + std::to_string(word) +
+         "; only the k-d tree (0) loads (1 was the ball tree, which was "
+         "removed)";
+}
+
+// Sets `*why` on failure: an unsupported index word, or else a truncated
+// or corrupt block.
+bool ReadConfig(Reader& r, TkdcConfig* config, std::string* why) {
+  *why = "truncated or corrupt config block";
   uint32_t kernel = 0, bandwidth_rule = 0, split_rule = 0, axis_rule = 0;
-  uint32_t index_backend = 0;
+  uint32_t index_word = 0;
   uint8_t threshold_rule = 0, tolerance_rule = 0, grid = 0, fast_math_leaf = 0;
   uint64_t grid_max_dims = 0, leaf_size = 0, r0 = 0, s0 = 0, seed = 0;
   if (!r.F64(&config->p) || !r.F64(&config->epsilon) ||
@@ -156,16 +169,19 @@ bool ReadConfig(Reader& r, TkdcConfig* config) {
       !r.U32(&split_rule) || !r.U32(&axis_rule) || !r.U64(&leaf_size) ||
       !r.U64(&r0) || !r.U64(&s0) || !r.F64(&config->h_backoff) ||
       !r.F64(&config->h_buffer) || !r.F64(&config->h_growth) ||
-      !r.U64(&seed) || !r.U32(&index_backend) || !r.U8(&fast_math_leaf) ||
+      !r.U64(&seed) || !r.U32(&index_word) || !r.U8(&fast_math_leaf) ||
       !r.F64(&config->coreset_epsilon)) {
     return false;
   }
+  if (index_word != kKdTreeIndexWord) {
+    *why = UnsupportedIndexError("config block", index_word);
+    return false;
+  }
   if (kernel > 3 || bandwidth_rule > 1 || split_rule > 2 || axis_rule > 1 ||
-      index_backend > 1 || leaf_size == 0) {
+      leaf_size == 0) {
     return false;
   }
   config->kernel = static_cast<KernelType>(kernel);
-  config->index_backend = static_cast<IndexBackend>(index_backend);
   config->fast_math_leaf = fast_math_leaf != 0;
   config->bandwidth_rule = static_cast<BandwidthRule>(bandwidth_rule);
   config->use_threshold_rule = threshold_rule != 0;
@@ -212,17 +228,17 @@ bool ReadValues(Reader& r, uint64_t dims, uint64_t n,
 
 // --- Spatial-index section ----------------------------------------------
 //
-// Shared trailer of every tree-backed section: backend tag, node topology
-// (shared by both backends), the reordered-to-original row permutation,
-// and the backend-specific geometry (k-d boxes, or ball centroids +
-// annulus radii + build scale). The raw training values already precede
-// this section, so the reordered point storage is reconstructed from the
-// permutation rather than stored twice. An SoA leaf-layout descriptor
-// (lane width, leaf count, total padded doubles) closes the section; the
-// SoA mirror itself is derived from the reordered points and is rebuilt on
-// load, so the descriptor is a cross-check, not storage.
+// Shared trailer of every tree-backed section: the index word (always
+// kKdTreeIndexWord), node topology, the reordered-to-original row
+// permutation, and the per-node k-d boxes. The raw training values
+// already precede this section, so the reordered point storage is
+// reconstructed from the permutation rather than stored twice. An SoA
+// leaf-layout descriptor (lane width, leaf count, total padded doubles)
+// closes the section; the SoA mirror itself is derived from the reordered
+// points and is rebuilt on load, so the descriptor is a cross-check, not
+// storage.
 void WriteIndexSection(Writer& w, const SpatialIndex& index) {
-  w.U8(static_cast<uint8_t>(index.backend()));
+  w.U8(kKdTreeIndexWord);
   w.U64(index.num_nodes());
   for (size_t i = 0; i < index.size(); ++i) {
     w.U64(index.OriginalIndex(i));
@@ -235,41 +251,14 @@ void WriteIndexSection(Writer& w, const SpatialIndex& index) {
     w.U32(static_cast<uint32_t>(node.right));
     w.U8(node.split_axis);
   }
-  const size_t dims = index.dims();
-  switch (index.backend()) {
-    case IndexBackend::kKdTree: {
-      const auto& kd = static_cast<const KdTree&>(index);
-      std::vector<double> geometry;
-      geometry.reserve(2 * dims * kd.num_nodes());
-      for (size_t i = 0; i < kd.num_nodes(); ++i) {
-        const BoundingBox& box = kd.box(i);
-        geometry.insert(geometry.end(), box.min().begin(), box.min().end());
-        geometry.insert(geometry.end(), box.max().begin(), box.max().end());
-      }
-      w.DoubleVec(geometry);
-      break;
-    }
-    case IndexBackend::kBallTree: {
-      const auto& ball = static_cast<const BallTree&>(index);
-      std::vector<double> centroids;
-      centroids.reserve(dims * ball.num_nodes());
-      std::vector<double> radii;
-      radii.reserve(ball.num_nodes());
-      std::vector<double> radii_min;
-      radii_min.reserve(ball.num_nodes());
-      for (size_t i = 0; i < ball.num_nodes(); ++i) {
-        const auto centroid = ball.Centroid(i);
-        centroids.insert(centroids.end(), centroid.begin(), centroid.end());
-        radii.push_back(ball.Radius(i));
-        radii_min.push_back(ball.MinRadius(i));
-      }
-      w.DoubleVec(centroids);
-      w.DoubleVec(radii);
-      w.DoubleVec(radii_min);
-      w.DoubleVec(ball.scale());
-      break;
-    }
+  std::vector<double> geometry;
+  geometry.reserve(2 * index.dims() * index.num_nodes());
+  for (size_t i = 0; i < index.num_nodes(); ++i) {
+    const BoundingBox& box = index.box(i);
+    geometry.insert(geometry.end(), box.min().begin(), box.min().end());
+    geometry.insert(geometry.end(), box.max().begin(), box.max().end());
   }
+  w.DoubleVec(geometry);
   // SoA descriptor. Lane width is an architectural constant of the
   // format: a file written here must rebuild to exactly this layout.
   w.U64(kSimdBlockWidth);
@@ -325,26 +314,28 @@ bool FiniteVec(const std::vector<double>& v) {
 // Reads and validates an index section over `data`, reconstructing the
 // reordered point storage from the stored permutation. `options` supplies
 // the build parameters recorded elsewhere in the file (leaf size, split
-// rules); the backend comes from the section's own tag. Returns nullptr
-// with `*why` set on any structural violation.
+// rules). Returns nullptr with `*why` set on any structural violation.
 std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
                                                      const Dataset& data,
                                                      IndexOptions options,
                                                      std::string* why) {
   const uint64_t n = data.size();
   const uint64_t dims = data.dims();
-  uint8_t backend_tag = 0;
+  uint8_t index_word = 0;
   uint64_t num_nodes = 0;
-  if (!r.U8(&backend_tag) || !r.U64(&num_nodes)) {
+  if (!r.U8(&index_word) || !r.U64(&num_nodes)) {
     *why = "truncated index header";
     return nullptr;
   }
+  if (index_word != kKdTreeIndexWord) {
+    *why = UnsupportedIndexError("index section", index_word);
+    return nullptr;
+  }
   // A leaf holds >= 1 rows, so a binary arena can never exceed 2n - 1.
-  if (backend_tag > 1 || num_nodes == 0 || num_nodes > 2 * n) {
+  if (num_nodes == 0 || num_nodes > 2 * n) {
     *why = "corrupt index header";
     return nullptr;
   }
-  options.backend = static_cast<IndexBackend>(backend_tag);
 
   std::vector<size_t> original_index(n);
   std::vector<uint8_t> seen(n, 0);
@@ -389,72 +380,31 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     std::copy(row.begin(), row.end(), reordered.begin() + i * dims);
   }
 
-  std::unique_ptr<const SpatialIndex> index;
-  switch (options.backend) {
-    case IndexBackend::kKdTree: {
-      std::vector<double> geometry;
-      if (!r.DoubleVec(&geometry, 2 * dims * num_nodes) ||
-          geometry.size() != 2 * dims * num_nodes || !FiniteVec(geometry)) {
-        *why = "truncated or corrupt k-d box geometry";
-        return nullptr;
-      }
-      std::vector<BoundingBox> boxes(num_nodes);
-      for (uint64_t i = 0; i < num_nodes; ++i) {
-        const double* min = geometry.data() + 2 * dims * i;
-        const double* max = min + dims;
-        for (uint64_t j = 0; j < dims; ++j) {
-          if (min[j] > max[j]) {
-            *why = "inverted k-d bounding box";
-            return nullptr;
-          }
-        }
-        BoundingBox box(dims);
-        box.Extend({min, dims});
-        box.Extend({max, dims});
-        boxes[i] = std::move(box);
-      }
-      index = std::make_unique<const KdTree>(
-          dims, std::move(reordered), std::move(original_index),
-          std::move(nodes), std::move(boxes), std::move(options));
-      break;
-    }
-    case IndexBackend::kBallTree: {
-      std::vector<double> centroids, radii, radii_min, scale;
-      if (!r.DoubleVec(&centroids, dims * num_nodes) ||
-          centroids.size() != dims * num_nodes || !FiniteVec(centroids) ||
-          !r.DoubleVec(&radii, num_nodes) || radii.size() != num_nodes ||
-          !r.DoubleVec(&radii_min, num_nodes) ||
-          radii_min.size() != num_nodes ||
-          !r.DoubleVec(&scale, dims) || scale.size() != dims) {
-        *why = "truncated or corrupt ball geometry";
-        return nullptr;
-      }
-      for (size_t i = 0; i < num_nodes; ++i) {
-        if (!std::isfinite(radii[i]) || radii[i] < 0.0 ||
-            !std::isfinite(radii_min[i]) || radii_min[i] < 0.0 ||
-            radii_min[i] > radii[i]) {
-          *why = "invalid ball radius";
-          return nullptr;
-        }
-      }
-      for (double s : scale) {
-        if (!std::isfinite(s) || s <= 0.0) {
-          *why = "invalid ball scale";
-          return nullptr;
-        }
-      }
-      index = std::make_unique<const BallTree>(
-          dims, std::move(reordered), std::move(original_index),
-          std::move(nodes), std::move(centroids), std::move(radii),
-          std::move(radii_min), std::move(scale), std::move(options));
-      break;
-    }
-  }
-  if (index == nullptr) {
-    *why = "unknown index backend";
+  std::vector<double> geometry;
+  if (!r.DoubleVec(&geometry, 2 * dims * num_nodes) ||
+      geometry.size() != 2 * dims * num_nodes || !FiniteVec(geometry)) {
+    *why = "truncated or corrupt k-d box geometry";
     return nullptr;
   }
-  // SoA descriptor: the restore constructors just rebuilt the mirror from
+  std::vector<BoundingBox> boxes(num_nodes);
+  for (uint64_t i = 0; i < num_nodes; ++i) {
+    const double* min = geometry.data() + 2 * dims * i;
+    const double* max = min + dims;
+    for (uint64_t j = 0; j < dims; ++j) {
+      if (min[j] > max[j]) {
+        *why = "inverted k-d bounding box";
+        return nullptr;
+      }
+    }
+    BoundingBox box(dims);
+    box.Extend({min, dims});
+    box.Extend({max, dims});
+    boxes[i] = std::move(box);
+  }
+  auto index = std::make_unique<const SpatialIndex>(
+      dims, std::move(reordered), std::move(original_index), std::move(nodes),
+      std::move(boxes), std::move(options));
+  // SoA descriptor: the restore constructor just rebuilt the mirror from
   // the reordered points, so the stored layout must agree exactly — a
   // mismatch means the file was written by an incompatible layout (or
   // corrupted) and leaf scans would disagree with the writer.
@@ -487,12 +437,7 @@ uint32_t TagFor(const DensityClassifier& classifier) {
 // container.
 void WriteTkdcSection(Writer& w, const TkdcClassifier& c,
                       const Dataset& training_data, bool include_densities) {
-  // The serialized index is ground truth; keep the config's backend field
-  // consistent with it even if the classifier was handed a prebuilt index
-  // of a different flavor than it was configured for.
-  TkdcConfig config = c.config();
-  config.index_backend = c.tree().backend();
-  WriteConfig(w, config);
+  WriteConfig(w, c.config());
   w.U64(training_data.dims());
   w.U64(training_data.size());
   w.DoubleVec(c.kernel().bandwidths());
@@ -525,8 +470,9 @@ std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, bool nocut,
                                                 const std::string& path,
                                                 std::string* error) {
   TkdcConfig config;
-  if (!ReadConfig(r, &config)) {
-    *error = path + ": truncated or corrupt config block";
+  std::string why;
+  if (!ReadConfig(r, &config, &why)) {
+    *error = path + ": " + why;
     return nullptr;
   }
   uint64_t dims = 0, n = 0;
@@ -563,15 +509,10 @@ std::unique_ptr<TkdcClassifier> ReadTkdcSection(Reader& r, bool nocut,
     return nullptr;
   }
   Dataset data(dims, std::move(values));
-  std::string why;
   std::unique_ptr<const SpatialIndex> index =
       ReadIndexSection(r, data, config.MakeIndexOptions(), &why);
   if (index == nullptr) {
     *error = path + ": " + why;
-    return nullptr;
-  }
-  if (index->backend() != config.index_backend) {
-    *error = path + ": index section backend contradicts config";
     return nullptr;
   }
   ErrorBudget budget;
@@ -732,9 +673,7 @@ std::unique_ptr<DensityClassifier> ReadSimpleSection(Reader& r,
 
 void WriteRkdeSection(Writer& w, const RkdeClassifier& c,
                       const Dataset& training_data) {
-  TkdcConfig config = c.options().base;
-  config.index_backend = c.model().tree->backend();
-  WriteConfig(w, config);
+  WriteConfig(w, c.options().base);
   w.U64(training_data.dims());
   w.U64(training_data.size());
   w.DoubleVec(c.model().kernel->bandwidths());
@@ -748,8 +687,9 @@ std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r,
                                                    const std::string& path,
                                                    std::string* error) {
   RkdeOptions options;
-  if (!ReadConfig(r, &options.base)) {
-    *error = path + ": truncated or corrupt config block";
+  std::string why;
+  if (!ReadConfig(r, &options.base, &why)) {
+    *error = path + ": " + why;
     return nullptr;
   }
   uint64_t dims = 0, n = 0;
@@ -768,15 +708,10 @@ std::unique_ptr<DensityClassifier> ReadRkdeSection(Reader& r,
     return nullptr;
   }
   Dataset data(dims, std::move(values));
-  std::string why;
   std::unique_ptr<const SpatialIndex> index =
       ReadIndexSection(r, data, options.base.MakeIndexOptions(), &why);
   if (index == nullptr) {
     *error = path + ": " + why;
-    return nullptr;
-  }
-  if (index->backend() != options.base.index_backend) {
-    *error = path + ": index section backend contradicts config";
     return nullptr;
   }
   auto classifier = std::make_unique<RkdeClassifier>(options);
@@ -879,7 +814,6 @@ std::unique_ptr<DensityClassifier> ReadKnnSection(Reader& r,
     *error = path + ": " + why;
     return nullptr;
   }
-  options.index_backend = index->backend();
   auto classifier = std::make_unique<KnnClassifier>(options);
   classifier->Restore(data, threshold, std::move(index));
   return classifier;

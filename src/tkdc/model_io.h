@@ -16,11 +16,9 @@ namespace tkdc {
 /// section holding the parameters, thresholds, and training data). The
 /// training data rides along so derived structures (grid cache, density
 /// grid) can be rebuilt deterministically on load. The tree-backed sections
-/// (tkdc/nocut, rkde, knn) additionally carry the spatial index itself —
-/// backend tag, topology, and per-node geometry (k-d boxes or ball
-/// centroids/radii) — so a load adopts the exact trained index instead of
-/// re-running the build, and a ball-tree model restores as a ball tree
-/// regardless of the loader's configured default backend.
+/// (tkdc/nocut, rkde, knn) additionally carry the k-d tree itself —
+/// topology and per-node boxes — so a load adopts the exact trained index
+/// instead of re-running the build.
 ///
 /// Works for every DensityClassifier subclass in the repo (tkdc, nocut,
 /// simple, rkde, binned, knn). `training_data` must be the dataset the
@@ -91,7 +89,9 @@ ModelKind ProbeModelKind(const std::string& path, std::string* error);
 /// original training-set size, achieved error, halvings). The serialized
 /// training data of a compressed model IS the coreset; the budget table is
 /// validated against the config's own resolution, making a checksum-fixed
-/// corruption of any share a clean load error.
+/// corruption of any share a clean load error. The config block and the
+/// index section each keep a spatial-index word, always 0 (the k-d tree);
+/// any other value is a load error.
 inline constexpr uint32_t kModelFormatVersion = 6;
 
 }  // namespace tkdc

@@ -391,7 +391,7 @@ uint32_t MultiClassClassifier::ClassifyImpl(
     if (winner < mc_ids_.class_won.size()) {
       m.Inc(mc_ids_.class_won[winner]);
     }
-    query_metrics::RecordQuery(ctx, before, grid_before, index_backend());
+    query_metrics::RecordQuery(ctx, before, grid_before);
   }
   return winner;
 }

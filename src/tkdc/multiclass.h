@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "index/index_backend.h"
 #include "kde/batch_executor.h"
 #include "kde/query_context.h"
 #include "tkdc/classifier.h"
@@ -157,9 +155,6 @@ class MultiClassClassifier {
   const TkdcConfig& config() const { return config_; }
   const std::vector<std::string>& class_labels() const { return labels_; }
   const std::vector<double>& priors() const { return priors_; }
-  std::optional<IndexBackend> index_backend() const {
-    return parts_.empty() ? std::nullopt : parts_[0]->index_backend();
-  }
 
   /// The per-class trained classifier (model IO, benches, tests).
   const TkdcClassifier& class_part(size_t c) const { return *parts_[c]; }

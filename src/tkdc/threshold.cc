@@ -71,9 +71,8 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
           config_->kernel, SelectBandwidths(config_->bandwidth_rule,
                                             *subsample,
                                             config_->bandwidth_scale));
-      sub_tree = BuildIndex(
-          *subsample,
-          config_->MakeIndexOptions(sub_kernel->inverse_bandwidths()));
+      sub_tree = std::make_unique<const SpatialIndex>(
+          *subsample, config_->MakeIndexOptions());
       train = subsample.get();
       kernel = sub_kernel.get();
       tree = sub_tree.get();

@@ -9,7 +9,6 @@
 #include "baselines/nocut.h"
 #include "baselines/rkde.h"
 #include "baselines/simple_kde.h"
-#include "index/index_backend.h"
 #include "tkdc/classifier.h"
 #include "tkdc/model_io.h"
 
@@ -18,15 +17,25 @@ namespace tkdc::api {
 namespace {
 
 /// A NaN or infinite t(p) turns every label into garbage (all comparisons
-/// against it fail), so training refuses the model instead of returning
-/// it. At d = 784 the Gaussian normalizer overflows to inf and t(p) comes
-/// out NaN.
+/// against it fail), and a negative one labels every fresh query HIGH (no
+/// density is below it), so training refuses the model instead of
+/// returning it. At d = 784 the Gaussian normalizer overflows to inf and
+/// t(p) comes out NaN; the binned baseline's self-corrected densities can
+/// fall below 0 on a coarse grid. t = 0 is a valid threshold.
 Status CheckThreshold(double threshold, const std::string& where = "") {
-  if (std::isfinite(threshold)) return Status::Ok();
-  return Errorf() << "training produced a non-finite threshold t(p)" << where
-                  << ": " << threshold
-                  << " (the kernel density over- or underflows at this "
-                     "dimensionality and bandwidth)";
+  if (!std::isfinite(threshold)) {
+    return Errorf() << "training produced a non-finite threshold t(p)"
+                    << where << ": " << threshold
+                    << " (the kernel density over- or underflows at this "
+                       "dimensionality and bandwidth)";
+  }
+  if (threshold < 0.0) {
+    return Errorf() << "training produced a negative threshold t(p)" << where
+                    << ": " << threshold
+                    << " (no density lies below it, so every fresh query "
+                       "would be HIGH)";
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -75,7 +84,6 @@ Result<std::unique_ptr<DensityClassifier>> NewClassifier(
     knn.p = config.p;
     knn.k = options.k;
     knn.leaf_size = config.leaf_size;
-    knn.index_backend = config.index_backend;
     knn.seed = config.seed;
     classifier = std::make_unique<KnnClassifier>(knn);
   } else {
@@ -152,9 +160,6 @@ std::string DescribeMultiClass(const MultiClassClassifier& classifier) {
   std::ostringstream out;
   out << "  classes:         " << classifier.num_classes() << "\n"
       << "  dimensions:      " << classifier.dims() << "\n";
-  if (const auto backend = classifier.index_backend()) {
-    out << "  index backend:   " << IndexBackendName(*backend) << "\n";
-  }
   out << "  p:               " << classifier.config().p << "\n"
       << "  epsilon:         " << classifier.config().epsilon << "\n"
       << "  error budget:    "
@@ -264,7 +269,6 @@ Result<TrainOptions> RecoverTrainOptions(const DensityClassifier& classifier) {
     options.k = knn->options().k;
     options.config.p = knn->options().p;
     options.config.leaf_size = knn->options().leaf_size;
-    options.config.index_backend = knn->options().index_backend;
     options.config.seed = knn->options().seed;
   } else {
     return Errorf() << "cannot recover train options for classifier type "
@@ -281,9 +285,6 @@ std::string Describe(const DensityClassifier& classifier) {
       << "  streaming:       "
       << (classifier.supports_overlay() ? "overlay-capable" : "static only")
       << "\n";
-  if (const auto backend = classifier.index_backend()) {
-    out << "  index backend:   " << IndexBackendName(*backend) << "\n";
-  }
   if (const auto* tkdc_classifier =
           dynamic_cast<const TkdcClassifier*>(&classifier)) {
     const TkdcConfig& config = tkdc_classifier->config();

@@ -41,7 +41,7 @@ struct TrainOptions {
   /// One of KnownAlgorithms(): "tkdc" (default), "nocut", "simple",
   /// "rkde", "binned", or "knn".
   std::string algorithm = "tkdc";
-  /// Shared knobs (p, epsilon, bandwidth, kernel, index backend, threads,
+  /// Shared knobs (p, epsilon, bandwidth, kernel, leaf size, threads,
   /// seed, ...). Baselines map the subset they understand.
   TkdcConfig config;
   /// Neighbor count; knn only.

@@ -1,15 +1,12 @@
 // Batch-vs-serial equivalence for every classifier in the lineup. The
 // shared BatchExecutor promises bit-identical labels AND bit-identical
 // merged counter totals at any thread count; these tests pin that contract
-// for each algorithm at 2 and 8 threads. Tree-backed algorithms run once
-// per spatial-index backend — the executor's determinism must not depend
-// on which geometry the traversal prunes with.
+// for each algorithm at 2 and 8 threads.
 
 #include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,41 +18,34 @@
 #include "baselines/simple_kde.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "index/index_backend.h"
 #include "kde/delta_overlay.h"
 #include "tkdc/classifier.h"
 
 namespace tkdc {
 namespace {
 
-std::unique_ptr<DensityClassifier> MakeClassifier(const std::string& name,
-                                                  IndexBackend backend) {
+std::unique_ptr<DensityClassifier> MakeClassifier(const std::string& name) {
   if (name == "tkdc") {
     TkdcConfig config;
     config.num_threads = 1;
-    config.index_backend = backend;
     return std::make_unique<TkdcClassifier>(config);
   }
   if (name == "nocut") {
     TkdcConfig config;
     config.num_threads = 1;
-    config.index_backend = backend;
     return std::make_unique<NocutClassifier>(config);
   }
   if (name == "simple") {
     return std::make_unique<SimpleKdeClassifier>();
   }
   if (name == "rkde") {
-    RkdeOptions options;
-    options.base.index_backend = backend;
-    return std::make_unique<RkdeClassifier>(options);
+    return std::make_unique<RkdeClassifier>();
   }
   if (name == "binned") {
     return std::make_unique<BinnedKdeClassifier>();
   }
   KnnOptions options;
   options.threshold_sample = 500;
-  options.index_backend = backend;
   return std::make_unique<KnnClassifier>(options);
 }
 
@@ -67,9 +57,7 @@ void ExpectStatsEqual(const TraversalStats& a, const TraversalStats& b,
   EXPECT_EQ(a.queries, b.queries) << what;
 }
 
-using BatchParam = std::tuple<const char*, IndexBackend>;
-
-class BatchEquivalenceTest : public ::testing::TestWithParam<BatchParam> {
+class BatchEquivalenceTest : public ::testing::TestWithParam<const char*> {
  protected:
   BatchEquivalenceTest() {
     Rng rng(17);
@@ -78,9 +66,9 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<BatchParam> {
     queries_ = SampleStandardGaussian(500, 2, qrng);
   }
 
-  std::string name() const { return std::get<0>(GetParam()); }
+  std::string name() const { return GetParam(); }
   std::unique_ptr<DensityClassifier> Make() const {
-    return MakeClassifier(name(), std::get<1>(GetParam()));
+    return MakeClassifier(name());
   }
 
   Dataset data_{2};
@@ -201,26 +189,13 @@ TEST_P(BatchEquivalenceTest, EmptyOverlayIsTheBasePath) {
   }
 }
 
-std::string BatchParamName(
-    const ::testing::TestParamInfo<BatchParam>& info) {
-  return std::string(std::get<0>(info.param)) + "_" +
-         IndexBackendName(std::get<1>(info.param));
-}
-
+// Names keep the "_kdtree" suffix from when a second index existed.
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, BatchEquivalenceTest,
-    ::testing::Combine(::testing::Values("tkdc", "nocut", "simple", "rkde",
-                                         "binned", "knn"),
-                       ::testing::Values(IndexBackend::kKdTree)),
-    BatchParamName);
-
-// The ball-tree lane repeats only the algorithms that actually own a
-// spatial index (simple/binned have no tree to swap).
-INSTANTIATE_TEST_SUITE_P(
-    BallTreeBackend, BatchEquivalenceTest,
-    ::testing::Combine(::testing::Values("tkdc", "nocut", "rkde", "knn"),
-                       ::testing::Values(IndexBackend::kBallTree)),
-    BatchParamName);
+    ::testing::Values("tkdc", "nocut", "simple", "rkde", "binned", "knn"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param) + "_kdtree";
+    });
 
 }  // namespace
 }  // namespace tkdc

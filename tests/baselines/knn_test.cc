@@ -1,6 +1,7 @@
 #include "baselines/knn.h"
 
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include <gtest/gtest.h>
@@ -132,25 +133,20 @@ TEST(KnnClassifierTest, DistanceComputationsSublinear) {
   EXPECT_LT(per_query, 2000.0);
 }
 
-// kNN traversal correctness is a backend-independent contract: run the
-// suite once per SpatialIndex backend.
-class IndexKnnTest : public ::testing::TestWithParam<IndexBackend> {
- protected:
-  static std::unique_ptr<const SpatialIndex> Build(const Dataset& data) {
-    IndexOptions options;
-    options.backend = GetParam();
-    return BuildIndex(data, std::move(options));
-  }
-};
+// The suite ran once per spatial-index backend when there were two. It
+// keeps a one-value parameter, the k-d tree, so its test names read as
+// they did.
+enum class TreeIndex : uint8_t { kKdTree };
+class IndexKnnTest : public ::testing::TestWithParam<TreeIndex> {};
 
 TEST_P(IndexKnnTest, ExactnessUnderScaledMetric) {
   Rng rng(8);
   const Dataset data = SampleStandardGaussian(400, 3, rng);
-  const auto tree = Build(data);
+  const SpatialIndex tree(data, IndexOptions());
   const std::vector<double> inv_bw{2.0, 1.0, 0.5};
   const std::vector<double> q{0.2, -0.4, 1.0};
   std::vector<std::pair<double, size_t>> found;
-  tree->KNearestScaled(q, inv_bw, 7, &found);
+  tree.KNearestScaled(q, inv_bw, 7, &found);
   ASSERT_EQ(found.size(), 7u);
   // Ascending order.
   for (size_t i = 1; i < found.size(); ++i) {
@@ -175,28 +171,24 @@ TEST_P(IndexKnnTest, ExactnessUnderScaledMetric) {
 TEST_P(IndexKnnTest, KClampedToDatasetSize) {
   Rng rng(9);
   const Dataset data = SampleStandardGaussian(10, 2, rng);
-  const auto tree = Build(data);
+  const SpatialIndex tree(data, IndexOptions());
   std::vector<std::pair<double, size_t>> found;
-  tree->KNearestScaled(data.Row(0), std::vector<double>{1.0, 1.0}, 100,
-                       &found);
+  tree.KNearestScaled(data.Row(0), std::vector<double>{1.0, 1.0}, 100, &found);
   EXPECT_EQ(found.size(), 10u);
 }
 
 TEST_P(IndexKnnTest, KZeroReturnsEmpty) {
   Rng rng(10);
   const Dataset data = SampleStandardGaussian(10, 2, rng);
-  const auto tree = Build(data);
+  const SpatialIndex tree(data, IndexOptions());
   std::vector<std::pair<double, size_t>> found{{1.0, 2}};
-  tree->KNearestScaled(data.Row(0), std::vector<double>{1.0, 1.0}, 0, &found);
+  tree.KNearestScaled(data.Row(0), std::vector<double>{1.0, 1.0}, 0, &found);
   EXPECT_TRUE(found.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, IndexKnnTest,
-                         ::testing::Values(IndexBackend::kKdTree,
-                                           IndexBackend::kBallTree),
-                         [](const auto& info) {
-                           return IndexBackendName(info.param);
-                         });
+                         ::testing::Values(TreeIndex::kKdTree),
+                         [](const auto&) { return std::string("kdtree"); });
 
 }  // namespace
 }  // namespace tkdc

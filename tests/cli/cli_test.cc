@@ -222,6 +222,25 @@ TEST_F(CliTest, TrainRefusesNonFiniteThreshold) {
   EXPECT_FALSE(std::ifstream(model).good());
 }
 
+TEST_F(CliTest, TrainRefusesNegativeThreshold) {
+  // On tmy3 d=4 the binned baseline's coarse grid interpolates sparse rows
+  // below their own self-term, so t(p) comes out negative (-4.3e-6 here):
+  // no fresh density is below it and every query would be HIGH.
+  const std::string data_csv = TempPath("tmy3.csv");
+  ASSERT_EQ(Run({"generate", "--dataset", "tmy3", "--n", "2000", "--dims",
+                 "4", "--output", data_csv}),
+            0)
+      << Err();
+  const std::string model = TempPath("tmy3_binned.tkdc");
+  std::remove(model.c_str());
+  EXPECT_EQ(Run({"train", "--input", data_csv, "--model", model,
+                 "--algorithm", "binned", "--p", "0.01"}),
+            1);
+  EXPECT_NE(Err().find("negative threshold t(p)"), std::string::npos)
+      << Err();
+  EXPECT_FALSE(std::ifstream(model).good());
+}
+
 TEST_F(CliTest, UnknownKernelRejected) {
   const std::string data_csv = MakeDataCsv("badk.csv", 100);
   EXPECT_EQ(Run({"train", "--input", data_csv, "--model",

@@ -1,4 +1,4 @@
-#include "index/kdtree.h"
+#include "index/spatial_index.h"
 
 #include <algorithm>
 #include <cmath>
@@ -22,7 +22,7 @@ IndexOptions SmallLeaves(SplitRule rule = SplitRule::kTrimmedMidpoint) {
 
 TEST(KdTreeTest, SinglePointTree) {
   Dataset data(2, {1.0, 2.0});
-  KdTree tree(data, IndexOptions());
+  SpatialIndex tree(data, IndexOptions());
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_TRUE(tree.root().is_leaf());
@@ -32,12 +32,12 @@ TEST(KdTreeTest, SinglePointTree) {
 TEST(KdTreeTest, RootCoversAllPoints) {
   Rng rng(1);
   Dataset data = SampleStandardGaussian(500, 3, rng);
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   EXPECT_EQ(tree.root().count(), 500u);
   EXPECT_EQ(tree.root().begin, 0u);
   EXPECT_EQ(tree.root().end, 500u);
   for (size_t i = 0; i < tree.size(); ++i) {
-    EXPECT_TRUE(tree.box(KdTree::kRoot).Contains(tree.Point(i)));
+    EXPECT_TRUE(tree.box(SpatialIndex::kRoot).Contains(tree.Point(i)));
   }
 }
 
@@ -45,13 +45,13 @@ TEST(KdTreeTest, LeafSizeZeroDies) {
   Dataset data(2, {1.0, 2.0, 3.0, 4.0});
   IndexOptions options;
   options.leaf_size = 0;
-  EXPECT_DEATH(KdTree(data, options), "leaf_size");
+  EXPECT_DEATH(SpatialIndex(data, options), "leaf_size");
 }
 
 TEST(KdTreeTest, ReorderingIsAPermutation) {
   Rng rng(2);
   Dataset data = SampleStandardGaussian(300, 2, rng);
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   std::set<size_t> seen;
   for (size_t i = 0; i < tree.size(); ++i) {
     const size_t original = tree.OriginalIndex(i);
@@ -68,7 +68,7 @@ TEST(KdTreeTest, ReorderingIsAPermutation) {
 
 // Recursive invariants: children partition the parent range, counts add up,
 // child boxes nest inside the parent box, points lie in their node's box.
-void CheckNodeInvariants(const KdTree& tree, size_t node_index) {
+void CheckNodeInvariants(const SpatialIndex& tree, size_t node_index) {
   const IndexNode& node = tree.node(node_index);
   const BoundingBox& box = tree.box(node_index);
   for (size_t i = node.begin; i < node.end; ++i) {
@@ -110,8 +110,8 @@ class KdTreeInvariants : public ::testing::TestWithParam<SplitRule> {};
 TEST_P(KdTreeInvariants, HoldOnGaussianData) {
   Rng rng(3);
   Dataset data = SampleStandardGaussian(1000, 3, rng);
-  KdTree tree(data, SmallLeaves(GetParam()));
-  CheckNodeInvariants(tree, KdTree::kRoot);
+  SpatialIndex tree(data, SmallLeaves(GetParam()));
+  CheckNodeInvariants(tree, SpatialIndex::kRoot);
 }
 
 TEST_P(KdTreeInvariants, HoldOnClusteredData) {
@@ -119,8 +119,8 @@ TEST_P(KdTreeInvariants, HoldOnClusteredData) {
   const Mixture mixture =
       RandomGaussianMixture(2, 5, 10.0, 0.1, 1.0, rng);
   Dataset data = mixture.Sample(800, rng);
-  KdTree tree(data, SmallLeaves(GetParam()));
-  CheckNodeInvariants(tree, KdTree::kRoot);
+  SpatialIndex tree(data, SmallLeaves(GetParam()));
+  CheckNodeInvariants(tree, SpatialIndex::kRoot);
 }
 
 TEST_P(KdTreeInvariants, HoldWithHeavyDuplicates) {
@@ -128,8 +128,8 @@ TEST_P(KdTreeInvariants, HoldWithHeavyDuplicates) {
   Dataset data(2);
   for (int i = 0; i < 100; ++i) data.AppendRow(std::vector<double>{1.0, 1.0});
   for (int i = 0; i < 50; ++i) data.AppendRow(std::vector<double>{2.0, 3.0});
-  KdTree tree(data, SmallLeaves(GetParam()));
-  CheckNodeInvariants(tree, KdTree::kRoot);
+  SpatialIndex tree(data, SmallLeaves(GetParam()));
+  CheckNodeInvariants(tree, SpatialIndex::kRoot);
   EXPECT_EQ(tree.root().count(), 150u);
 }
 
@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(AllRules, KdTreeInvariants,
 TEST(KdTreeTest, AllDuplicatePointsBecomeOneLeaf) {
   Dataset data(2);
   for (int i = 0; i < 100; ++i) data.AppendRow(std::vector<double>{5.0, 5.0});
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   // Zero extent on every axis: cannot split, stays a single leaf.
   EXPECT_EQ(tree.num_nodes(), 1u);
   EXPECT_TRUE(tree.root().is_leaf());
@@ -156,7 +156,7 @@ TEST(KdTreeTest, DepthIsLogarithmicForMedianSplits) {
   IndexOptions options;
   options.leaf_size = 1;
   options.split_rule = SplitRule::kMedian;
-  KdTree tree(data, options);
+  SpatialIndex tree(data, options);
   // Perfectly balanced would be 12; allow slack for ties.
   EXPECT_LE(tree.MaxDepth(), 20u);
   EXPECT_GE(tree.MaxDepth(), 12u);
@@ -168,7 +168,7 @@ TEST(KdTreeTest, CycleAxisRuleAlternatesSplitAxes) {
   IndexOptions options;
   options.leaf_size = 8;
   options.axis_rule = SplitAxisRule::kCycle;
-  KdTree tree(data, options);
+  SpatialIndex tree(data, options);
   EXPECT_EQ(tree.root().split_axis, 0u);
   if (!tree.root().is_leaf()) {
     const IndexNode& left = tree.node(static_cast<size_t>(tree.root().left));
@@ -187,14 +187,14 @@ TEST(KdTreeTest, WidestExtentRuleSplitsDominantAxis) {
   IndexOptions options;
   options.leaf_size = 8;
   options.axis_rule = SplitAxisRule::kWidestExtent;
-  KdTree tree(data, options);
+  SpatialIndex tree(data, options);
   EXPECT_EQ(tree.root().split_axis, 1u);
 }
 
 TEST(KdTreeRangeQueryTest, MatchesBruteForce) {
   Rng rng(8);
   Dataset data = SampleStandardGaussian(500, 2, rng);
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   const std::vector<double> inv_bw{2.0, 1.0};
   const std::vector<double> query{0.25, -0.5};
   for (double radius_sq : {0.01, 0.25, 1.0, 4.0, 100.0}) {
@@ -218,7 +218,7 @@ TEST(KdTreeRangeQueryTest, MatchesBruteForce) {
 TEST(KdTreeRangeQueryTest, EmptyResultFarAway) {
   Rng rng(9);
   Dataset data = SampleStandardGaussian(100, 2, rng);
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   std::vector<size_t> found;
   tree.CollectWithinScaledRadius(std::vector<double>{100.0, 100.0},
                                  std::vector<double>{1.0, 1.0}, 1.0, &found);
@@ -230,7 +230,7 @@ TEST(KdTreeRangeQueryTest, WholeBoxShortcutCountsNoDistances) {
   // reported distance computations stay small.
   Rng rng(10);
   Dataset data = SampleStandardGaussian(1000, 2, rng);
-  KdTree tree(data, SmallLeaves());
+  SpatialIndex tree(data, SmallLeaves());
   std::vector<size_t> found;
   const uint64_t distance_computations = tree.CollectWithinScaledRadius(
       std::vector<double>{0.0, 0.0}, std::vector<double>{1.0, 1.0}, 1e12,
@@ -244,7 +244,7 @@ TEST(KdTreeTest, LargeLeafSizeMakesShallowTree) {
   Dataset data = SampleStandardGaussian(1000, 2, rng);
   IndexOptions options;
   options.leaf_size = 1000;
-  KdTree tree(data, options);
+  SpatialIndex tree(data, options);
   EXPECT_EQ(tree.num_nodes(), 1u);
 }
 

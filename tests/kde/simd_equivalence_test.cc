@@ -5,8 +5,7 @@
 // schedule, for every primitive, every kernel family, dims 1..17, and
 // counts that exercise every remainder mod the lane width. A final
 // end-to-end layer forces the dispatcher to each backend and requires
-// bit-identical labels and densities from fully trained classifiers over
-// both index backends.
+// bit-identical labels and densities from fully trained classifiers.
 //
 // On hosts (or builds) without a usable vector backend the backend-pinned
 // tests skip; the contract tests of the scalar schedule itself still run.
@@ -15,7 +14,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,36 +174,6 @@ TEST_F(SimdPrimitiveEquality, BoxPairBoundsBitEqualAcrossBackends) {
   }
 }
 
-TEST_F(SimdPrimitiveEquality, CentroidPairDistancesBitEqualAcrossBackends) {
-  const simd::SimdOps& scalar = simd::ScalarSimdOps();
-  Rng rng(303);
-  for (size_t dims = 1; dims <= 17; ++dims) {
-    for (int trial = 0; trial < 25; ++trial) {
-      std::vector<double> c0(dims), c1(dims), x(dims), inv_bw(dims),
-          inv_scale(dims);
-      for (size_t j = 0; j < dims; ++j) {
-        c0[j] = rng.NextGaussian();
-        c1[j] = rng.NextGaussian();
-        x[j] = rng.NextGaussian();
-        inv_bw[j] = 0.5 + rng.NextDouble();
-        inv_scale[j] = 0.5 + rng.NextDouble();
-      }
-      double d_scalar[2], d_vector[2];
-      double hi_s = 0.0, lo_s = 0.0, hi_v = 0.0, lo_v = 0.0;
-      scalar.centroid_pair_distances(c0.data(), c1.data(), x.data(),
-                                     inv_bw.data(), inv_scale.data(), dims,
-                                     d_scalar, &hi_s, &lo_s);
-      vector_ops_->centroid_pair_distances(c0.data(), c1.data(), x.data(),
-                                           inv_bw.data(), inv_scale.data(),
-                                           dims, d_vector, &hi_v, &lo_v);
-      EXPECT_EQ(d_scalar[0], d_vector[0]) << "dims=" << dims;
-      EXPECT_EQ(d_scalar[1], d_vector[1]) << "dims=" << dims;
-      EXPECT_EQ(hi_s, hi_v) << "dims=" << dims;
-      EXPECT_EQ(lo_s, lo_v) << "dims=" << dims;
-    }
-  }
-}
-
 // Kernel sums: all four families, both the plain and the radius-masked
 // variants, bit-equal between backends in default (exact) mode.
 TEST_F(SimdPrimitiveEquality, KernelSumsBitEqualAcrossBackends) {
@@ -343,10 +311,7 @@ TEST(SimdPaddingTest, PaddedLanesContributeExactZero) {
 
 // --- End-to-end: forced backends produce bit-identical classifiers ------
 
-using KernelBackendParam = std::tuple<KernelType, IndexBackend>;
-
-class ForcedBackendEquivalence
-    : public ::testing::TestWithParam<KernelBackendParam> {
+class ForcedBackendEquivalence : public ::testing::TestWithParam<KernelType> {
  protected:
   void SetUp() override {
     vector_backend_ = UsableVectorBackend();
@@ -365,10 +330,9 @@ class ForcedBackendEquivalence
 };
 
 TEST_P(ForcedBackendEquivalence, TrainedClassifiersBitIdentical) {
-  const auto [kernel_type, index_backend] = GetParam();
+  const KernelType kernel_type = GetParam();
   TkdcConfig config;
   config.kernel = kernel_type;
-  config.index_backend = index_backend;
   config.num_threads = 1;
 
   Rng rng(7000 + static_cast<uint64_t>(kernel_type));
@@ -408,17 +372,13 @@ TEST_P(ForcedBackendEquivalence, TrainedClassifiersBitIdentical) {
   }
 }
 
+// Names keep the "_kdtree" suffix from when a second index existed.
 INSTANTIATE_TEST_SUITE_P(
     AllKernelsAndBackends, ForcedBackendEquivalence,
-    ::testing::Combine(::testing::Values(KernelType::kGaussian,
-                                         KernelType::kEpanechnikov,
-                                         KernelType::kUniform,
-                                         KernelType::kBiweight),
-                       ::testing::Values(IndexBackend::kKdTree,
-                                         IndexBackend::kBallTree)),
-    [](const ::testing::TestParamInfo<KernelBackendParam>& info) {
-      return KernelName(std::get<0>(info.param)) + "_" +
-             IndexBackendName(std::get<1>(info.param));
+    ::testing::Values(KernelType::kGaussian, KernelType::kEpanechnikov,
+                      KernelType::kUniform, KernelType::kBiweight),
+    [](const ::testing::TestParamInfo<KernelType>& info) {
+      return KernelName(info.param) + "_kdtree";
     });
 
 }  // namespace

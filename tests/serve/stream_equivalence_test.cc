@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "data/generators.h"
-#include "index/index_backend.h"
 #include "kde/delta_overlay.h"
 #include "kde/naive_kde.h"
 #include "tkdc/classifier.h"
@@ -59,11 +58,10 @@ StreamedWorkload MakeWorkload() {
   return w;
 }
 
-api::TrainOptions Options(IndexBackend backend, size_t threads) {
+api::TrainOptions Options(size_t threads) {
   api::TrainOptions options;
   options.config.p = 0.1;
   options.config.seed = 5;
-  options.config.index_backend = backend;
   options.config.num_threads = threads;
   return options;
 }
@@ -77,9 +75,9 @@ api::TrainOptions Options(IndexBackend backend, size_t threads) {
 /// cuts — widened by each side's epsilon slack — may legitimately land on
 /// either label. Outside that band both models are past their tolerance
 /// zones and must agree exactly.
-void CheckOverlayMatchesRetrain(IndexBackend backend) {
+TEST(StreamEquivalenceTest, OverlayMatchesRetrainKdTree) {
   const StreamedWorkload w = MakeWorkload();
-  const api::TrainOptions options = Options(backend, 1);
+  const api::TrainOptions options = Options(1);
   auto base_model = api::Train(w.base, options);
   ASSERT_TRUE(base_model.ok()) << base_model.message();
   auto retrained = api::Train(w.merged, options);
@@ -124,19 +122,11 @@ void CheckOverlayMatchesRetrain(IndexBackend backend) {
   EXPECT_LT(disagreements, w.queries.size() / 4);
 }
 
-TEST(StreamEquivalenceTest, OverlayMatchesRetrainKdTree) {
-  CheckOverlayMatchesRetrain(IndexBackend::kKdTree);
-}
-
-TEST(StreamEquivalenceTest, OverlayMatchesRetrainBallTree) {
-  CheckOverlayMatchesRetrain(IndexBackend::kBallTree);
-}
-
 TEST(StreamEquivalenceTest, OverlayBatchLabelsIdenticalAcrossThreadCounts) {
   const StreamedWorkload w = MakeWorkload();
   std::vector<std::vector<Classification>> per_thread_labels;
   for (const size_t threads : {1u, 2u, 8u}) {
-    auto model = api::Train(w.base, Options(IndexBackend::kKdTree, threads));
+    auto model = api::Train(w.base, Options(threads));
     ASSERT_TRUE(model.ok()) << model.message();
     per_thread_labels.push_back(
         api::ClassifyBatchWithOverlay(*model.value(), w.queries, *w.overlay));
@@ -157,7 +147,7 @@ TEST(StreamEquivalenceTest, ExactEngineOverlayDensityEqualsRetrain) {
   // density must equal the retrained density to rounding error — the
   // strongest anchor that the fold itself is exact.
   const StreamedWorkload w = MakeWorkload();
-  api::TrainOptions options = Options(IndexBackend::kKdTree, 1);
+  api::TrainOptions options = Options(1);
   options.algorithm = "simple";
   auto base_model = api::Train(w.base, options);
   ASSERT_TRUE(base_model.ok()) << base_model.message();

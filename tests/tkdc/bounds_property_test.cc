@@ -6,15 +6,13 @@
 // with the final bounds, and the classifier's label must agree with a
 // NaiveKde ground truth whenever the query sits outside the epsilon band.
 //
-// Every invariant is a contract of the traversal, not of the geometry, so
-// the whole suite runs once per spatial-index backend (kd-tree and ball
-// tree). Volume: 4 kernel families x 2 backends x 300 randomized queries
-// = 2400 traced traversals, each checked step by step.
+// Volume: 4 kernel families x 300 randomized queries = 1200 traced
+// traversals, each checked step by step.
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,23 +45,13 @@ std::string KernelName(KernelType kernel) {
   return "unknown";
 }
 
-using KernelBackendParam = std::tuple<KernelType, IndexBackend>;
-
-std::string ParamName(
-    const ::testing::TestParamInfo<KernelBackendParam>& info) {
-  return KernelName(std::get<0>(info.param)) + "_" +
-         IndexBackendName(std::get<1>(info.param));
-}
-
-class TracedInvariants : public ::testing::TestWithParam<KernelBackendParam> {
+class TracedInvariants : public ::testing::TestWithParam<KernelType> {
  protected:
-  KernelType kernel_type() const { return std::get<0>(GetParam()); }
-  IndexBackend backend() const { return std::get<1>(GetParam()); }
+  KernelType kernel_type() const { return GetParam(); }
 
   TkdcConfig MakeConfig() const {
     TkdcConfig config;
     config.kernel = kernel_type();
-    config.index_backend = backend();
     return config;
   }
 };
@@ -77,9 +65,8 @@ TEST_P(TracedInvariants, BoundsBracketAndTightenAtEveryStep) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   NaiveKde naive(data, kernel);
 
   TreeQueryContext ctx;
@@ -136,9 +123,8 @@ TEST_P(TracedInvariants, CutoffReasonMatchesFinalBounds) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
 
   TreeQueryContext ctx;
   TraversalTracer tracer;
@@ -195,9 +181,8 @@ TEST_P(TracedInvariants, ExhaustiveTraversalReportsExactLeaf) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   NaiveKde naive(data, kernel);
 
   TreeQueryContext ctx;
@@ -243,72 +228,14 @@ TEST_P(TracedInvariants, LabelsMatchNaiveKdeOutsideEpsilonBand) {
   EXPECT_GT(checked, kQueriesPerKernel / 3);
 }
 
+// Names keep the "_kdtree" suffix from when a second index existed.
 INSTANTIATE_TEST_SUITE_P(
     AllKernelsAndBackends, TracedInvariants,
-    ::testing::Combine(::testing::Values(KernelType::kGaussian,
-                                         KernelType::kEpanechnikov,
-                                         KernelType::kUniform,
-                                         KernelType::kBiweight),
-                       ::testing::Values(IndexBackend::kKdTree,
-                                         IndexBackend::kBallTree)),
-    ParamName);
-
-// The two backends are interchangeable end to end: classifiers trained
-// with identical config except the index backend must issue the same
-// label for every query outside the epsilon band (inside the band either
-// answer is permitted by the tolerance rule, and the backends may
-// legitimately disagree there).
-class BackendAgreement : public ::testing::TestWithParam<KernelType> {};
-
-TEST_P(BackendAgreement, ClassificationsIdenticalOutsideEpsilonBand) {
-  const KernelType kernel_type = GetParam();
-  TkdcConfig kd_config;
-  kd_config.kernel = kernel_type;
-  kd_config.index_backend = IndexBackend::kKdTree;
-  TkdcConfig ball_config = kd_config;
-  ball_config.index_backend = IndexBackend::kBallTree;
-
-  Rng rng(5000 + static_cast<uint64_t>(kernel_type));
-  const Dataset data = SampleStandardGaussian(1200, 2, rng);
-  TkdcClassifier kd_classifier(kd_config);
-  kd_classifier.Train(data);
-  TkdcClassifier ball_classifier(ball_config);
-  ball_classifier.Train(data);
-  // Both backends bootstrap from the same certified-to-epsilon density
-  // intervals, so the trained thresholds agree to the epsilon tolerance
-  // (the interval midpoints differ by the geometry's rounding, not more).
-  const double t_kd = kd_classifier.threshold();
-  const double t_ball = ball_classifier.threshold();
-  const double eps = kd_config.epsilon;
-  EXPECT_NEAR(t_kd, t_ball, 2.0 * eps * t_kd + 1e-12);
-
-  NaiveKde naive(data, kd_classifier.kernel());
-  Rng probe(17 + static_cast<uint64_t>(kernel_type));
-  int checked = 0;
-  std::vector<double> q(2);
-  for (int trial = 0; trial < kQueriesPerKernel; ++trial) {
-    for (double& v : q) v = probe.Uniform(-4.0, 4.0);
-    const double exact = naive.Density(q);
-    // Inside either backend's epsilon band the tolerance rule permits
-    // either label; only clear-cut queries must agree.
-    if (std::fabs(exact - t_kd) < 2.5 * eps * t_kd + 1e-12) continue;
-    if (std::fabs(exact - t_ball) < 2.5 * eps * t_ball + 1e-12) continue;
-    ++checked;
-    EXPECT_EQ(kd_classifier.Classify(q), ball_classifier.Classify(q))
-        << "trial " << trial << " exact=" << exact << " t_kd=" << t_kd
-        << " t_ball=" << t_ball;
-  }
-  EXPECT_GT(checked, kQueriesPerKernel / 3);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllKernels, BackendAgreement,
-                         ::testing::Values(KernelType::kGaussian,
-                                           KernelType::kEpanechnikov,
-                                           KernelType::kUniform,
-                                           KernelType::kBiweight),
-                         [](const auto& info) {
-                           return KernelName(info.param);
-                         });
+    ::testing::Values(KernelType::kGaussian, KernelType::kEpanechnikov,
+                      KernelType::kUniform, KernelType::kBiweight),
+    [](const ::testing::TestParamInfo<KernelType>& info) {
+      return KernelName(info.param) + "_kdtree";
+    });
 
 // --- Fast-math leaf mode ------------------------------------------------
 //
@@ -318,15 +245,19 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, BackendAgreement,
 // an exhaustive fast-math traversal must land within a band around the
 // exact density far tighter than the classifier's epsilon tolerance —
 // i.e. the approximation error is absorbed by the same slack the
-// tolerance rule already grants. Runs on both index backends; the other
-// kernel families ignore the flag (their profiles are polynomial), which
-// the suite in tests/kde/simd_equivalence_test.cc checks bit-for-bit.
-class FastMathLeafBand : public ::testing::TestWithParam<IndexBackend> {};
+// tolerance rule already grants. The other kernel families ignore the
+// flag (their profiles are polynomial), which the suite in
+// tests/kde/simd_equivalence_test.cc checks bit-for-bit.
+//
+// The suite ran once per spatial-index backend when there were two. It
+// keeps a one-value parameter, the k-d tree, so its test names read as
+// they did.
+enum class TreeIndex : uint8_t { kKdTree };
+class FastMathLeafBand : public ::testing::TestWithParam<TreeIndex> {};
 
 TEST_P(FastMathLeafBand, ExhaustiveFastMathDensityWithinEpsilonBand) {
   TkdcConfig exact_config;
   exact_config.kernel = KernelType::kGaussian;
-  exact_config.index_backend = GetParam();
   exact_config.use_threshold_rule = false;
   exact_config.use_tolerance_rule = false;
   TkdcConfig fast_config = exact_config;
@@ -336,14 +267,13 @@ TEST_P(FastMathLeafBand, ExhaustiveFastMathDensityWithinEpsilonBand) {
   Kernel kernel(exact_config.kernel,
                 SelectBandwidths(exact_config.bandwidth_rule, data,
                                  exact_config.bandwidth_scale));
-  const auto tree = BuildIndex(
-      data, exact_config.MakeIndexOptions(kernel.inverse_bandwidths()));
+  const SpatialIndex tree(data, exact_config.MakeIndexOptions());
   // Two evaluators over the SAME tree: the only difference is the leaf
   // exp. Comparing against the exact-mode evaluator (rather than NaiveKde)
   // isolates the approximation error from summation-order noise, which is
   // shared by both modes and already covered by the exact-mode suites.
-  DensityBoundEvaluator exact_evaluator(tree.get(), &kernel, &exact_config);
-  DensityBoundEvaluator fast_evaluator(tree.get(), &kernel, &fast_config);
+  DensityBoundEvaluator exact_evaluator(&tree, &kernel, &exact_config);
+  DensityBoundEvaluator fast_evaluator(&tree, &kernel, &fast_config);
 
   TreeQueryContext exact_ctx, fast_ctx;
   Rng probe(61);
@@ -365,12 +295,10 @@ TEST_P(FastMathLeafBand, ExhaustiveFastMathDensityWithinEpsilonBand) {
 }
 
 // With pruning re-enabled, fast-math labels agree with the exact-mode
-// classifier outside the epsilon band — the same agreement contract the
-// two index backends hold to each other.
+// classifier outside the epsilon band.
 TEST_P(FastMathLeafBand, LabelsMatchExactModeOutsideEpsilonBand) {
   TkdcConfig exact_config;
   exact_config.kernel = KernelType::kGaussian;
-  exact_config.index_backend = GetParam();
   TkdcConfig fast_config = exact_config;
   fast_config.fast_math_leaf = true;
 
@@ -402,11 +330,8 @@ TEST_P(FastMathLeafBand, LabelsMatchExactModeOutsideEpsilonBand) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BothBackends, FastMathLeafBand,
-                         ::testing::Values(IndexBackend::kKdTree,
-                                           IndexBackend::kBallTree),
-                         [](const auto& info) {
-                           return IndexBackendName(info.param);
-                         });
+                         ::testing::Values(TreeIndex::kKdTree),
+                         [](const auto&) { return std::string("kdtree"); });
 
 // The tracer is strictly opt-in: with no tracer attached the traversal
 // still records the cutoff reason but captures no steps.
@@ -417,9 +342,8 @@ TEST(TraversalTracerTest, DetachedTraversalStillSetsLastCutoff) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   TreeQueryContext ctx;
   ASSERT_EQ(ctx.tracer, nullptr);
   EXPECT_EQ(ctx.last_cutoff, CutoffReason::kNone);
@@ -434,9 +358,8 @@ TEST(TraversalTracerTest, ReusedTracerClearsPreviousCapture) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   TreeQueryContext ctx;
   TraversalTracer tracer;
   ctx.tracer = &tracer;

@@ -44,18 +44,16 @@ TEST(TkdcConfigTest, OptimizationSummaryReflectsSwitches) {
   const std::string simd =
       std::string(" simd=") + SimdBackendName(ActiveSimdBackend());
   TkdcConfig config;
-  config.index_backend = IndexBackend::kKdTree;
   EXPECT_EQ(config.OptimizationSummary(),
-            "+threshold +tolerance +grid split=trimmed index=kdtree" + simd);
+            "+threshold +tolerance +grid split=trimmed" + simd);
   config.use_threshold_rule = false;
   config.use_grid = false;
   config.split_rule = SplitRule::kMedian;
-  config.index_backend = IndexBackend::kBallTree;
   EXPECT_EQ(config.OptimizationSummary(),
-            "-threshold +tolerance -grid split=median index=balltree" + simd);
+            "-threshold +tolerance -grid split=median" + simd);
   config.fast_math_leaf = true;
   EXPECT_EQ(config.OptimizationSummary(),
-            "-threshold +tolerance -grid split=median index=balltree" + simd +
+            "-threshold +tolerance -grid split=median" + simd +
                 " +fast-math-leaf");
 }
 

@@ -24,8 +24,8 @@ struct Fixture {
         config.kernel,
         SelectBandwidths(config.bandwidth_rule, *data,
                          config.bandwidth_scale));
-    tree = BuildIndex(*data,
-                      config.MakeIndexOptions(kernel->inverse_bandwidths()));
+    tree = std::make_unique<const SpatialIndex>(*data,
+                                                config.MakeIndexOptions());
     evaluator = std::make_unique<DensityBoundEvaluator>(
         tree.get(), kernel.get(), &config);
     naive = std::make_unique<NaiveKde>(*data, *kernel);

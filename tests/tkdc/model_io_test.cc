@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -280,49 +279,89 @@ TEST_F(ModelIoTest, GridCacheModelRoundTrips) {
       << "restored grid cache never pruned a query";
 }
 
-TEST_F(ModelIoTest, BallTreeBackedModelsRoundTrip) {
-  // Every tree-backed algorithm must round trip its ball-tree flavor: the
-  // index section stores the backend tag, and the loader must come back
-  // with a ball tree (not silently rebuild a k-d tree) and identical
-  // labels.
-  const Dataset data = TrainSet(30, 1200);
-  std::vector<std::unique_ptr<DensityClassifier>> originals;
-  {
-    TkdcConfig config;
-    config.index_backend = IndexBackend::kBallTree;
-    originals.push_back(std::make_unique<TkdcClassifier>(config));
-  }
-  {
-    RkdeOptions options;
-    options.base.index_backend = IndexBackend::kBallTree;
-    options.threshold_sample = 500;
-    originals.push_back(std::make_unique<RkdeClassifier>(options));
-  }
-  {
-    KnnOptions options;
-    options.index_backend = IndexBackend::kBallTree;
-    options.threshold_sample = 500;
-    originals.push_back(std::make_unique<KnnClassifier>(options));
-  }
-  for (auto& original : originals) {
-    original->Train(data);
-    ASSERT_EQ(original->index_backend(),
-              std::optional(IndexBackend::kBallTree))
-        << original->name();
-    const std::string path = TempPath(original->name() + "_ball.tkdc");
-    std::string error;
-    ASSERT_TRUE(SaveModel(path, *original, data, false, &error))
-        << original->name() << ": " << error;
-    auto loaded = LoadAnyModel(path, &error);
-    ASSERT_NE(loaded, nullptr) << original->name() << ": " << error;
-    EXPECT_EQ(loaded->index_backend(), std::optional(IndexBackend::kBallTree))
-        << loaded->name();
-    Rng rng(31);
-    for (int i = 0; i < 150; ++i) {
-      std::vector<double> q{rng.Uniform(-5.0, 5.0), rng.Uniform(-5.0, 5.0)};
-      EXPECT_EQ(loaded->Classify(q), original->Classify(q))
-          << original->name() << " trial " << i;
+// Offsets, from the start of a tkdc section saved without densities, of
+// the config block's spatial-index word (u32, after 115 bytes of config
+// fields) and of the index section's word (u8, after the 128-byte config
+// block, the shape, the bandwidths, the three thresholds, the densities
+// flag and the training values). Layout: WriteTkdcSection in model_io.cc.
+constexpr size_t kConfigIndexWordOffset = 115;
+size_t IndexSectionWordOffset(size_t dims, size_t n) {
+  return 128 + 2 * 8 + (8 + 8 * dims) + 3 * 8 + 1 + (8 + 8 * dims * n);
+}
+
+// Format v6 keeps a spatial-index word in every config block and at the
+// head of every index section. The k-d tree is the only index and writes
+// 0; a 1 there marked the ball tree, which was removed. Either word set to
+// 1 must fail the load with an error saying so, never abort — in a
+// single-class model and in a multi-class container alike.
+TEST_F(ModelIoTest, NonzeroIndexWordsAreRefused) {
+  TkdcConfig config;
+  config.seed = 77;
+  const Dataset data = TrainSet(53, 400);
+  TkdcClassifier single(config);
+  single.Train(data);
+  MultiClassClassifier multi(config);
+  ASSERT_TRUE(
+      multi.TrainParts({TrainSet(54, 200), TrainSet(55, 300)}, {"a", "b"})
+          .ok());
+  const std::string single_path = TempPath("index_word.tkdc");
+  const std::string multi_path = TempPath("index_word_mc.tkdc");
+  std::string error;
+  ASSERT_TRUE(SaveModel(single_path, single, data, false, &error)) << error;
+  ASSERT_TRUE(SaveMultiClassModel(multi_path, multi, false, &error)) << error;
+
+  // Sections start after the 8-byte header and the u32 algorithm tag; the
+  // container's first class section also follows K and the label/prior
+  // table (u64 length + 1-byte label + f64 prior per class).
+  const size_t single_section = 8 + 4;
+  const size_t multi_section = 8 + 4 + 8 + 2 * (8 + 1 + 8);
+  // Each word is pinned by a u64 beside it: the seed just before the
+  // config word, the node count just after the index word.
+  const size_t single_config = single_section + kConfigIndexWordOffset;
+  const size_t single_index = single_section + IndexSectionWordOffset(2, 400);
+  const size_t multi_config = multi_section + kConfigIndexWordOffset;
+  const size_t multi_index = multi_section + IndexSectionWordOffset(2, 200);
+  struct Word {
+    const std::string* path;
+    bool multi_class;
+    size_t offset;
+    size_t pin_offset;
+    uint64_t pin;
+  };
+  const Word words[] = {
+      {&single_path, false, single_config, single_config - 8, 77},
+      {&single_path, false, single_index, single_index + 1,
+       single.tree().num_nodes()},
+      {&multi_path, true, multi_config, multi_config - 8, 77},
+      {&multi_path, true, multi_index, multi_index + 1,
+       multi.class_part(0).tree().num_nodes()},
+  };
+  for (const Word& word : words) {
+    SCOPED_TRACE(*word.path + " offset " + std::to_string(word.offset));
+    std::ifstream in(*word.path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    ASSERT_LT(word.pin_offset + 8, bytes.size());
+    uint64_t pin = 0;
+    std::memcpy(&pin, bytes.data() + word.pin_offset, sizeof(pin));
+    ASSERT_EQ(pin, word.pin);
+    ASSERT_EQ(bytes[word.offset], 0);
+    bytes[word.offset] = 1;
+    const uint64_t checksum =
+        Fnv1a(bytes.substr(8, bytes.size() - 8 - sizeof(uint64_t)));
+    std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
+                sizeof(checksum));
+    const std::string path = TempPath("index_word_set.tkdc");
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    if (word.multi_class) {
+      EXPECT_EQ(LoadMultiClassModel(path, &error), nullptr);
+    } else {
+      EXPECT_EQ(LoadModel(path, &error), nullptr);
     }
+    EXPECT_NE(error.find("ball tree"), std::string::npos) << error;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include "tkdc/multiclass.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,7 +37,7 @@ Dataset Blob(size_t n, double cx, double cy, Rng& rng) {
 /// Fresh classifier on the deterministic fixture: training is
 /// reproducible from the seed, so independently trained instances hold
 /// identical models and their counters are directly comparable.
-std::unique_ptr<MultiClassClassifier> Train(IndexBackend backend) {
+std::unique_ptr<MultiClassClassifier> Train() {
   Rng rng(271);
   std::vector<Dataset> parts;
   std::vector<std::string> labels;
@@ -46,7 +47,6 @@ std::unique_ptr<MultiClassClassifier> Train(IndexBackend backend) {
     labels.push_back("c" + std::to_string(c));
   }
   TkdcConfig config;
-  config.index_backend = backend;
   config.seed = 7;
   auto mc = std::make_unique<MultiClassClassifier>(config);
   EXPECT_TRUE(mc->TrainParts(parts, labels).ok());
@@ -64,14 +64,17 @@ Dataset Queries() {
   return queries;
 }
 
-class McBatchEquivalenceTest : public ::testing::TestWithParam<IndexBackend> {
-};
+// The suite ran once per spatial-index backend when there were two. It
+// keeps a one-value parameter, the k-d tree, so its test names read as
+// they did.
+enum class TreeIndex : uint8_t { kKdTree };
+class McBatchEquivalenceTest : public ::testing::TestWithParam<TreeIndex> {};
 
 TEST_P(McBatchEquivalenceTest, BatchLabelsBitIdenticalAcrossThreadCounts) {
   const Dataset queries = Queries();
 
   // Serial reference through the context API.
-  auto reference = Train(GetParam());
+  auto reference = Train();
   const auto ctx = reference->MakeQueryContext();
   std::vector<uint32_t> serial(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -79,7 +82,7 @@ TEST_P(McBatchEquivalenceTest, BatchLabelsBitIdenticalAcrossThreadCounts) {
   }
 
   for (const size_t threads : {1u, 2u, 8u}) {
-    auto mc = Train(GetParam());
+    auto mc = Train();
     mc->SetNumThreads(threads);
     const std::vector<uint32_t> labels = mc->ClassifyBatch(queries);
     ASSERT_EQ(labels.size(), queries.size()) << threads << " threads";
@@ -93,7 +96,7 @@ TEST_P(McBatchEquivalenceTest, MergedCountersAgreeAcrossThreadCounts) {
   TraversalStats reference;
   bool have_reference = false;
   for (const size_t threads : {1u, 2u, 8u}) {
-    auto mc = Train(GetParam());
+    auto mc = Train();
     mc->SetNumThreads(threads);
     mc->ClassifyBatch(queries);
     const TraversalStats& stats = mc->query_stats();
@@ -117,7 +120,7 @@ TEST_P(McBatchEquivalenceTest, MergedCountersAgreeAcrossThreadCounts) {
 
 TEST_P(McBatchEquivalenceTest, BatchAfterBatchAccumulatesConsistently) {
   const Dataset queries = Queries();
-  auto mc = Train(GetParam());
+  auto mc = Train();
   mc->SetNumThreads(4);
   const std::vector<uint32_t> first = mc->ClassifyBatch(queries);
   const uint64_t after_one = mc->query_stats().nodes_expanded;
@@ -129,11 +132,8 @@ TEST_P(McBatchEquivalenceTest, BatchAfterBatchAccumulatesConsistently) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, McBatchEquivalenceTest,
-                         ::testing::Values(IndexBackend::kKdTree,
-                                           IndexBackend::kBallTree),
-                         [](const auto& info) {
-                           return IndexBackendName(info.param);
-                         });
+                         ::testing::Values(TreeIndex::kKdTree),
+                         [](const auto&) { return std::string("kdtree"); });
 
 }  // namespace
 }  // namespace tkdc

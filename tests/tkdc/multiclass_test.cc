@@ -1,7 +1,7 @@
 // Differential property suite for the multi-class classifier: the
 // round-robin cross-class pruner against brute-force nonparametric Bayes
-// (argmax_c prior_c * NaiveKde_c(q)) over a {2,3,5,8}-class sweep on both
-// index backends, plus the traced refinement invariants (bounds bracket
+// (argmax_c prior_c * NaiveKde_c(q)) over a {2,3,5,8}-class sweep, plus
+// the traced refinement invariants (bounds bracket
 // the exact density and tighten monotonically; an eliminated class is
 // never the exact argmax) and the degenerate-input error contract.
 
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,8 +47,7 @@ struct McFixture {
   std::unique_ptr<MultiClassClassifier> mc;
 };
 
-McFixture MakeTrained(size_t k, IndexBackend backend, size_t per_class,
-                      uint64_t seed) {
+McFixture MakeTrained(size_t k, size_t per_class, uint64_t seed) {
   McFixture f;
   Rng rng(seed);
   for (size_t c = 0; c < k; ++c) {
@@ -57,7 +57,6 @@ McFixture MakeTrained(size_t k, IndexBackend backend, size_t per_class,
     f.labels.push_back("class" + std::to_string(c));
   }
   TkdcConfig config;
-  config.index_backend = backend;
   config.seed = seed;
   f.mc = std::make_unique<MultiClassClassifier>(config);
   const Status status = f.mc->TrainParts(f.class_data, f.labels);
@@ -88,14 +87,13 @@ Dataset MakeQueries(const std::vector<Dataset>& class_data, size_t n,
 
 // --- Differential: pruned argmax vs brute force --------------------------
 
-class McDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<size_t, IndexBackend>> {};
+class McDifferentialTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(McDifferentialTest, MatchesBruteForceBayesOutsideToleranceBand) {
-  const auto [k, backend] = GetParam();
+  const size_t k = GetParam();
   constexpr size_t kPerClass = 120;
   constexpr size_t kQueries = 1000;
-  McFixture f = MakeTrained(k, backend, kPerClass, /*seed=*/17 * k);
+  McFixture f = MakeTrained(k, kPerClass, /*seed=*/17 * k);
 
   // Exact per-class densities via NaiveKde with each part's own kernel
   // (bandwidths are per class — each model was trained on its own data).
@@ -142,24 +140,24 @@ TEST_P(McDifferentialTest, MatchesBruteForceBayesOutsideToleranceBand) {
       << band_decided << " of " << kQueries << " decided inside the band";
 }
 
+// Names keep the "_kdtree" suffix from when a second index existed.
 INSTANTIATE_TEST_SUITE_P(
     ClassCountsAndBackends, McDifferentialTest,
-    ::testing::Combine(::testing::Values<size_t>(2, 3, 5, 8),
-                       ::testing::Values(IndexBackend::kKdTree,
-                                         IndexBackend::kBallTree)),
-    [](const auto& info) {
-      return "K" + std::to_string(std::get<0>(info.param)) + "_" +
-             IndexBackendName(std::get<1>(info.param));
+    ::testing::Values<size_t>(2, 3, 5, 8), [](const auto& info) {
+      return "K" + std::to_string(info.param) + "_kdtree";
     });
 
 // --- Traced invariants ---------------------------------------------------
 
-class McTracedPropertyTest : public ::testing::TestWithParam<IndexBackend> {};
+// The suite ran once per spatial-index backend when there were two. It
+// keeps a one-value parameter, the k-d tree, so its test names read as
+// they did.
+enum class TreeIndex : uint8_t { kKdTree };
+class McTracedPropertyTest : public ::testing::TestWithParam<TreeIndex> {};
 
 TEST_P(McTracedPropertyTest, BoundsBracketExactDensityAndTightenMonotonically) {
   constexpr size_t kClasses = 4;
-  McFixture f = MakeTrained(kClasses, GetParam(), /*per_class=*/100,
-                            /*seed=*/5);
+  McFixture f = MakeTrained(kClasses, /*per_class=*/100, /*seed=*/5);
   std::vector<NaiveKde> exact;
   for (size_t c = 0; c < kClasses; ++c) {
     exact.emplace_back(f.class_data[c], f.mc->class_part(c).kernel());
@@ -184,8 +182,7 @@ TEST_P(McTracedPropertyTest, BoundsBracketExactDensityAndTightenMonotonically) {
         EXPECT_GE(bounds.upper, truth - slack)
             << "class " << c << " round " << round << " query " << i;
         if (round > 0) {
-          // Monotone tightening (the parent clamp guarantees this on
-          // both backends, including ball-tree child spill).
+          // Monotone tightening (the parent clamp guarantees this).
           EXPECT_GE(bounds.lower, trace[round - 1].density[c].lower)
               << "class " << c << " round " << round;
           EXPECT_LE(bounds.upper, trace[round - 1].density[c].upper)
@@ -198,8 +195,7 @@ TEST_P(McTracedPropertyTest, BoundsBracketExactDensityAndTightenMonotonically) {
 
 TEST_P(McTracedPropertyTest, EliminatedClassIsNeverTheExactArgmax) {
   constexpr size_t kClasses = 6;
-  McFixture f = MakeTrained(kClasses, GetParam(), /*per_class=*/100,
-                            /*seed=*/23);
+  McFixture f = MakeTrained(kClasses, /*per_class=*/100, /*seed=*/23);
   std::vector<NaiveKde> exact;
   for (size_t c = 0; c < kClasses; ++c) {
     exact.emplace_back(f.class_data[c], f.mc->class_part(c).kernel());
@@ -240,11 +236,8 @@ TEST_P(McTracedPropertyTest, EliminatedClassIsNeverTheExactArgmax) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, McTracedPropertyTest,
-                         ::testing::Values(IndexBackend::kKdTree,
-                                           IndexBackend::kBallTree),
-                         [](const auto& info) {
-                           return IndexBackendName(info.param);
-                         });
+                         ::testing::Values(TreeIndex::kKdTree),
+                         [](const auto&) { return std::string("kdtree"); });
 
 // --- Degenerate inputs: Status errors, never aborts ----------------------
 

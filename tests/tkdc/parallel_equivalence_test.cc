@@ -6,7 +6,6 @@
 // model", and the test the TSan build runs to certify the engine race-free
 // (see README / EXPERIMENTS.md for the TKDC_SANITIZE=thread invocation).
 
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 #include "baselines/rkde.h"
 #include "common/rng.h"
 #include "data/generators.h"
-#include "index/index_backend.h"
 #include "tkdc/classifier.h"
 #include "tkdc/multi_threshold.h"
 
@@ -56,12 +54,11 @@ struct Snapshot {
   TraversalStats total_stats;
 };
 
-Snapshot RunWithThreads(size_t num_threads, IndexBackend backend) {
+Snapshot RunWithThreads(size_t num_threads) {
   const Dataset data = TrainingData();
   const Dataset fresh = FreshQueries();
   TkdcConfig config;
   config.num_threads = num_threads;
-  config.index_backend = backend;
   TkdcClassifier classifier(config);
   classifier.Train(data);
 
@@ -117,12 +114,7 @@ void ExpectSnapshotsEqual(const Snapshot& serial, const Snapshot& parallel) {
 class ParallelEquivalenceTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ParallelEquivalenceTest, MatchesSerialBitForBit) {
-  for (const IndexBackend backend :
-       {IndexBackend::kKdTree, IndexBackend::kBallTree}) {
-    SCOPED_TRACE(IndexBackendName(backend));
-    ExpectSnapshotsEqual(RunWithThreads(1, backend),
-                         RunWithThreads(GetParam(), backend));
-  }
+  ExpectSnapshotsEqual(RunWithThreads(1), RunWithThreads(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
@@ -192,33 +184,28 @@ TEST(ParallelEquivalenceTest, RkdeAutoRadiusMatchesSerial) {
 TEST(ParallelEquivalenceTest, MultiThresholdMatchesSerial) {
   // The ladder's training pass fans out over the batch executor: the
   // thresholds, every training row's band, and the work counters must not
-  // depend on the thread count, on either index backend.
+  // depend on the thread count.
   const Dataset data = TrainingData();
-  for (const IndexBackend backend :
-       {IndexBackend::kKdTree, IndexBackend::kBallTree}) {
-    std::vector<std::vector<double>> thresholds;
-    std::vector<std::vector<size_t>> bands;
-    std::vector<uint64_t> evaluations;
-    for (const size_t threads : {1u, 4u, 8u}) {
-      TkdcConfig config;
-      config.num_threads = threads;
-      config.index_backend = backend;
-      MultiThresholdClassifier classifier(config, {0.01, 0.1, 0.5});
-      classifier.Train(data);
-      thresholds.push_back(classifier.thresholds());
-      std::vector<size_t> row_bands(data.size());
-      for (size_t i = 0; i < data.size(); ++i) {
-        row_bands[i] = classifier.BandTraining(data.Row(i));
-      }
-      bands.push_back(std::move(row_bands));
-      evaluations.push_back(classifier.kernel_evaluations());
+  std::vector<std::vector<double>> thresholds;
+  std::vector<std::vector<size_t>> bands;
+  std::vector<uint64_t> evaluations;
+  for (const size_t threads : {1u, 4u, 8u}) {
+    TkdcConfig config;
+    config.num_threads = threads;
+    MultiThresholdClassifier classifier(config, {0.01, 0.1, 0.5});
+    classifier.Train(data);
+    thresholds.push_back(classifier.thresholds());
+    std::vector<size_t> row_bands(data.size());
+    for (size_t i = 0; i < data.size(); ++i) {
+      row_bands[i] = classifier.BandTraining(data.Row(i));
     }
-    for (size_t run = 1; run < thresholds.size(); ++run) {
-      const std::string what = IndexBackendName(backend);
-      EXPECT_EQ(thresholds[run], thresholds[0]) << what << " run " << run;
-      EXPECT_EQ(bands[run], bands[0]) << what << " run " << run;
-      EXPECT_EQ(evaluations[run], evaluations[0]) << what << " run " << run;
-    }
+    bands.push_back(std::move(row_bands));
+    evaluations.push_back(classifier.kernel_evaluations());
+  }
+  for (size_t run = 1; run < thresholds.size(); ++run) {
+    EXPECT_EQ(thresholds[run], thresholds[0]) << "run " << run;
+    EXPECT_EQ(bands[run], bands[0]) << "run " << run;
+    EXPECT_EQ(evaluations[run], evaluations[0]) << "run " << run;
   }
 }
 

@@ -57,9 +57,8 @@ TEST_P(BoundSoundness, BoundsBracketExactDensityEverywhere) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   TreeQueryContext ctx;
   NaiveKde naive(data, kernel);
 
@@ -88,9 +87,8 @@ TEST_P(BoundSoundness, UnboundedTraversalExact) {
   Kernel kernel(config.kernel,
                 SelectBandwidths(config.bandwidth_rule, data,
                                  config.bandwidth_scale));
-  const auto tree =
-      BuildIndex(data, config.MakeIndexOptions(kernel.inverse_bandwidths()));
-  DensityBoundEvaluator evaluator(tree.get(), &kernel, &config);
+  const SpatialIndex tree(data, config.MakeIndexOptions());
+  DensityBoundEvaluator evaluator(&tree, &kernel, &config);
   TreeQueryContext ctx;
   NaiveKde naive(data, kernel);
   for (size_t i = 0; i < 10; ++i) {
