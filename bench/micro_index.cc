@@ -1,8 +1,11 @@
 // Microbenchmarks: spatial-index construction, range queries, and the
 // BoundDensity traversal at the heart of tKDC.
 
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "index/spatial_index.h"
@@ -12,17 +15,33 @@
 namespace tkdc {
 namespace {
 
+// Args: n, dims, leaf size, pool slots (1 = serial, no pool). The
+// n = 1M, d = 2, leaf 128 rows match perfbench's outlier_gauss2d skeleton.
 void BM_KdTreeBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t dims = static_cast<size_t>(state.range(1));
+  IndexOptions options;
+  options.leaf_size = static_cast<size_t>(state.range(2));
+  const size_t slots = static_cast<size_t>(state.range(3));
   Rng rng(1);
-  const Dataset data = SampleStandardGaussian(n, 4, rng);
+  const Dataset data = SampleStandardGaussian(n, dims, rng);
+  std::unique_ptr<ThreadPool> pool;
+  if (slots > 1) pool = std::make_unique<ThreadPool>(slots);
   for (auto _ : state) {
-    SpatialIndex tree(data, IndexOptions());
+    SpatialIndex tree(data, options, pool.get());
     benchmark::DoNotOptimize(tree.num_nodes());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_KdTreeBuild)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_KdTreeBuild)
+    ->ArgNames({"n", "d", "leaf", "slots"})
+    ->Args({10'000, 4, 32, 1})
+    ->Args({10'000, 4, 32, 4})
+    ->Args({100'000, 4, 32, 1})
+    ->Args({100'000, 4, 32, 4})
+    ->Args({1'000'000, 2, 128, 1})
+    ->Args({1'000'000, 2, 128, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_KdTreeBuildSplitRule(benchmark::State& state) {
   const size_t n = 50'000;

@@ -1,10 +1,13 @@
 #include "cli/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string_view>
 
 // The CLI is a consumer of the stable public surface: everything it does
 // (train, persist, load, classify) goes through tkdc_api.h rather than
@@ -41,9 +44,9 @@ constexpr const char kUsage[] =
     "   each query file is classified against it in turn.\n"
     "   Multi-class models write a `label` column of predicted class\n"
     "   labels; --training/--density do not apply to them.\n"
-    "   --threads: worker threads for training densities and batch\n"
-    "   classification; 0 = hardware concurrency (default), 1 = serial.\n"
-    "   Results are identical for any value.\n"
+    "   --threads: worker threads for the index build, training densities\n"
+    "   and batch classification; 0 = hardware concurrency (default),\n"
+    "   1 = serial. Results are identical for any value.\n"
     "   --metrics-out: write query-path metrics (prune-depth, kernel-eval,\n"
     "   and cutoff-reason histograms) as JSON covering all query files.)\n"
     "  info      --model M.tkdc\n"
@@ -111,6 +114,27 @@ bool ParseArgs(const std::vector<std::string>& args, size_t start,
   return true;
 }
 
+// Refuses any option the subcommand does not read, so a typo or a removed
+// flag fails instead of passing as if it had been honoured.
+bool RejectUnknownOptions(const ParsedArgs& parsed,
+                          std::initializer_list<std::string_view> known,
+                          std::ostream& err) {
+  auto check = [&](const std::string& key) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) {
+      return true;
+    }
+    err << "unknown option " << key << "\n" << kUsage;
+    return false;
+  };
+  for (const auto& [key, values] : parsed.values) {
+    if (!check(key)) return false;
+  }
+  for (const auto& [key, set] : parsed.flags) {
+    if (!check(key)) return false;
+  }
+  return true;
+}
+
 bool RequireValues(const ParsedArgs& parsed,
                    const std::vector<std::string>& keys, std::ostream& err) {
   for (const std::string& key : keys) {
@@ -163,6 +187,15 @@ int CmdTrainMultiClass(const ParsedArgs& parsed, const TkdcConfig& config,
 }
 
 int CmdTrain(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
+  if (!RejectUnknownOptions(
+          parsed,
+          {"--input", "--model", "--algorithm", "--p", "--epsilon",
+           "--coreset-epsilon", "--b", "--k", "--kernel", "--split",
+           "--seed", "--threads", "--header", "--no-grid",
+           "--fast-math-leaf", "--no-densities"},
+          err)) {
+    return 2;
+  }
   if (!RequireValues(parsed, {"--input", "--model"}, err)) return 2;
   TkdcConfig config;
   if (const auto p = parsed.Value("--p")) config.p = std::atof(p->c_str());
@@ -347,6 +380,13 @@ int CmdClassifyMultiClass(const ParsedArgs& parsed,
 
 int CmdClassify(const ParsedArgs& parsed, std::ostream& out,
                 std::ostream& err) {
+  if (!RejectUnknownOptions(parsed,
+                            {"--model", "--input", "--output", "--threads",
+                             "--metrics-out", "--header", "--training",
+                             "--density"},
+                            err)) {
+    return 2;
+  }
   if (!RequireValues(parsed, {"--model", "--input", "--output"}, err)) {
     return 2;
   }
@@ -451,6 +491,7 @@ int CmdClassify(const ParsedArgs& parsed, std::ostream& out,
 }
 
 int CmdInfo(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
+  if (!RejectUnknownOptions(parsed, {"--model"}, err)) return 2;
   if (!RequireValues(parsed, {"--model"}, err)) return 2;
   // One kind-agnostic load: the handle knows its algorithm name and how
   // to describe itself, whichever kind the file holds.
@@ -467,6 +508,11 @@ int CmdInfo(const ParsedArgs& parsed, std::ostream& out, std::ostream& err) {
 
 int CmdGenerate(const ParsedArgs& parsed, std::ostream& out,
                 std::ostream& err) {
+  if (!RejectUnknownOptions(
+          parsed, {"--dataset", "--n", "--output", "--dims", "--seed"},
+          err)) {
+    return 2;
+  }
   if (!RequireValues(parsed, {"--dataset", "--n", "--output"}, err)) return 2;
   const auto id = DatasetIdFromName(*parsed.Value("--dataset"));
   if (!id.has_value()) {

@@ -3,32 +3,28 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace tkdc {
 
-/// Axis-aligned bounding box over d-dimensional points. Every k-d tree node
-/// carries one (paper Figure 3); the min/max scaled distances from a query
-/// to the box give the kernel contribution bounds of Eq. 6.
+/// Read-only view of an axis-aligned box over d-dimensional points, stored
+/// flat as min[0..d) followed by max[0..d). The k-d tree keeps one such run
+/// per node in a single geometry array (paper Figure 3), the layout the
+/// model file's index section stores; the min/max scaled distances from a
+/// query to the box give the kernel contribution bounds of Eq. 6.
 class BoundingBox {
  public:
-  /// Uninitialized zero-dimensional box; assign before use. Exists so
-  /// containers of nodes can default-construct.
-  BoundingBox() = default;
+  /// Views the 2 * dims doubles at `flat`, which must outlive the view.
+  BoundingBox(const double* flat, size_t dims) : flat_(flat), dims_(dims) {}
 
-  /// Empty box of the given dimensionality (min > max until Extend).
-  explicit BoundingBox(size_t dims);
+  /// Writes the tight box around rows [begin, end) of a flat row-major
+  /// array to flat[0 .. 2 * dims). Allocates nothing, so tree-build
+  /// workers can call it on disjoint slices of one array.
+  static void Fit(const double* points, size_t dims, size_t begin,
+                  size_t end, double* flat);
 
-  /// Tight box around `points` rows [begin, end) of a flat row-major array.
-  static BoundingBox FromPoints(const double* points, size_t dims,
-                                size_t begin, size_t end);
-
-  size_t dims() const { return min_.size(); }
-  const std::vector<double>& min() const { return min_; }
-  const std::vector<double>& max() const { return max_; }
-
-  /// Grows the box to contain `point`.
-  void Extend(std::span<const double> point);
+  size_t dims() const { return dims_; }
+  std::span<const double> min() const { return {flat_, dims_}; }
+  std::span<const double> max() const { return {flat_ + dims_, dims_}; }
 
   /// True when `point` lies inside (inclusive).
   bool Contains(std::span<const double> point) const;
@@ -44,14 +40,16 @@ class BoundingBox {
                                   std::span<const double> inv_bw) const;
 
   /// Box extent along `axis`.
-  double Extent(size_t axis) const { return max_[axis] - min_[axis]; }
+  double Extent(size_t axis) const {
+    return flat_[dims_ + axis] - flat_[axis];
+  }
 
   /// Axis with the largest extent.
   size_t WidestAxis() const;
 
  private:
-  std::vector<double> min_;
-  std::vector<double> max_;
+  const double* flat_;
+  size_t dims_;
 };
 
 }  // namespace tkdc

@@ -9,72 +9,117 @@
 
 namespace tkdc {
 
-SpatialIndex::SpatialIndex(const Dataset& data, IndexOptions options)
+SpatialIndex::SpatialIndex(const Dataset& data, IndexOptions options,
+                           ThreadPool* pool)
     : dims_(data.dims()), size_(data.size()), options_(std::move(options)) {
   TKDC_CHECK(!data.empty());
   TKDC_CHECK_MSG(options_.leaf_size >= 1, "index leaf_size must be >= 1");
   points_ = data.values();
   original_index_.resize(size_);
   for (size_t i = 0; i < size_; ++i) original_index_[i] = i;
-  BuildTree();
+  BuildTree(pool);
 }
 
 SpatialIndex::SpatialIndex(size_t dims, std::vector<double> reordered_points,
                            std::vector<size_t> original_index,
                            std::vector<IndexNode> nodes,
-                           std::vector<BoundingBox> boxes, IndexOptions options)
+                           std::vector<double> geometry, IndexOptions options)
     : dims_(dims),
       size_(original_index.size()),
       options_(std::move(options)),
       points_(std::move(reordered_points)),
       original_index_(std::move(original_index)),
       nodes_(std::move(nodes)),
-      boxes_(std::move(boxes)) {
+      geometry_(std::move(geometry)) {
   TKDC_CHECK(dims_ >= 1 && size_ >= 1);
   TKDC_CHECK(points_.size() == size_ * dims_);
   TKDC_CHECK(!nodes_.empty());
-  TKDC_CHECK(boxes_.size() == nodes_.size());
+  TKDC_CHECK(geometry_.size() == 2 * dims_ * nodes_.size());
   TKDC_CHECK_MSG(options_.leaf_size >= 1, "index leaf_size must be >= 1");
   // The SoA mirror is derived state: rebuilt from the restored reordered
   // points, never read from the model payload.
   BuildLeafSoa();
 }
 
-void SpatialIndex::BuildTree() {
-  // Conservative node-count reservation: a binary tree with ceil(n / leaf)
-  // leaves has < 4 * n / leaf nodes.
-  nodes_.reserve(4 * (size_ / options_.leaf_size + 1));
-  IndexNode root;
-  root.begin = 0;
-  root.end = size_;
-  nodes_.push_back(root);
-
-  // The split-coordinate scratch is a build-local buffer: it dies with this
-  // frame, so the finished index carries no build-only state.
-  std::vector<double> scratch;
-  struct BuildFrame {
-    size_t node_index;
-    size_t depth;
-  };
-  std::vector<BuildFrame> stack;
-  stack.push_back({kRoot, 0});
-  while (!stack.empty()) {
-    const BuildFrame frame = stack.back();
-    stack.pop_back();
-    const IndexNode& pre = nodes_[frame.node_index];
-    // The node's point set is final once it exists (its own partition only
-    // reorders within the range), so the box is computed before splitting
-    // and both see the same points.
-    BoundingBox box =
-        BoundingBox::FromPoints(points_.data(), dims_, pre.begin, pre.end);
-    SplitNode(frame.node_index, frame.depth, box, scratch);
-    boxes_.resize(nodes_.size());
-    boxes_[frame.node_index] = std::move(box);
-    const IndexNode& node = nodes_[frame.node_index];
-    if (!node.is_leaf()) {
-      stack.push_back({static_cast<size_t>(node.left), frame.depth + 1});
-      stack.push_back({static_cast<size_t>(node.right), frame.depth + 1});
+void SpatialIndex::BuildTree(ThreadPool* pool) {
+  const size_t box_size = 2 * dims_;
+  // Build order: level by level, each split appending its children as a
+  // consecutive pair. A binary tree with ceil(n / leaf) leaves has
+  // < 4 * n / leaf nodes.
+  std::vector<IndexNode> built;
+  built.reserve(4 * (size_ / options_.leaf_size + 1));
+  built.push_back(IndexNode{.begin = 0, .end = size_});
+  std::vector<double> built_geometry;
+  // Split-coordinate scratch: node [begin, end) uses scratch[begin, end),
+  // so the nodes of one level never touch the same entries.
+  std::vector<double> scratch(size_);
+  std::vector<size_t> mids;  // Per level; 0 = the node stays a leaf.
+  size_t level_begin = 0;
+  for (size_t depth = 0; level_begin < built.size(); ++depth) {
+    const size_t level_end = built.size();
+    built_geometry.resize(level_end * box_size);
+    mids.assign(level_end - level_begin, 0);
+    ParallelFor(pool, level_end - level_begin, 1,
+                [&](size_t, size_t first, size_t last) {
+      for (size_t k = first; k < last; ++k) {
+        IndexNode& node = built[level_begin + k];
+        double* flat = built_geometry.data() + (level_begin + k) * box_size;
+        // The node's point set is final once it exists (its own partition
+        // only reorders within the range), so the box is computed before
+        // splitting and both see the same points.
+        BoundingBox::Fit(points_.data(), dims_, node.begin, node.end, flat);
+        if (node.count() <= options_.leaf_size) continue;
+        uint8_t split_axis = 0;
+        const size_t mid =
+            PartitionRange(node.begin, node.end, depth,
+                           BoundingBox(flat, dims_), scratch.data(),
+                           &split_axis);
+        if (mid <= node.begin || mid >= node.end) continue;  // Refused.
+        node.split_axis = split_axis;
+        mids[k] = mid;
+      }
+    });
+    for (size_t k = 0; k < mids.size(); ++k) {
+      if (mids[k] == 0) continue;
+      const size_t parent = level_begin + k;
+      const IndexNode left{.begin = built[parent].begin, .end = mids[k]};
+      const IndexNode right{.begin = mids[k], .end = built[parent].end};
+      built[parent].left = static_cast<int32_t>(built.size());
+      built[parent].right = static_cast<int32_t>(built.size() + 1);
+      built.push_back(left);
+      built.push_back(right);
     }
+    level_begin = level_end;
+  }
+
+  // Renumber into depth-first order: replay a stack that pops a node,
+  // gives its children the next two ids and pushes left then right. That
+  // is the order in which a one-thread depth-first build creates nodes, so
+  // ids, boxes and saved model bytes do not depend on how the levels ran.
+  std::vector<int32_t> id(built.size());
+  int32_t next_id = 1;
+  std::vector<size_t> stack{kRoot};
+  while (!stack.empty()) {
+    const IndexNode& node = built[stack.back()];
+    stack.pop_back();
+    if (node.is_leaf()) continue;
+    id[static_cast<size_t>(node.left)] = next_id++;
+    id[static_cast<size_t>(node.right)] = next_id++;
+    stack.push_back(static_cast<size_t>(node.left));
+    stack.push_back(static_cast<size_t>(node.right));
+  }
+  nodes_.resize(built.size());
+  geometry_.resize(built_geometry.size());
+  for (size_t b = 0; b < built.size(); ++b) {
+    IndexNode node = built[b];
+    if (!node.is_leaf()) {
+      node.left = id[static_cast<size_t>(node.left)];
+      node.right = id[static_cast<size_t>(node.right)];
+    }
+    const size_t to = static_cast<size_t>(id[b]);
+    nodes_[to] = node;
+    std::copy_n(built_geometry.data() + b * box_size, box_size,
+                geometry_.data() + to * box_size);
   }
   BuildLeafSoa();
 }
@@ -124,37 +169,10 @@ void SpatialIndex::SwapPoints(size_t a, size_t b) {
   std::swap(original_index_[a], original_index_[b]);
 }
 
-void SpatialIndex::SplitNode(size_t node_index, size_t depth,
-                             const BoundingBox& box,
-                             std::vector<double>& scratch) {
-  if (nodes_[node_index].count() <= options_.leaf_size) return;
-
-  uint8_t split_axis = 0;
-  const size_t mid =
-      PartitionNode(node_index, depth, box, scratch, &split_axis);
-  IndexNode& node = nodes_[node_index];
-  if (mid <= node.begin || mid >= node.end) return;  // Split refused.
-
-  IndexNode left_child;
-  left_child.begin = node.begin;
-  left_child.end = mid;
-  IndexNode right_child;
-  right_child.begin = mid;
-  right_child.end = node.end;
-
-  node.split_axis = split_axis;
-  node.left = static_cast<int32_t>(nodes_.size());
-  node.right = static_cast<int32_t>(nodes_.size() + 1);
-  nodes_.push_back(left_child);
-  nodes_.push_back(right_child);
-}
-
-size_t SpatialIndex::PartitionNode(size_t node_index, size_t depth,
-                                   const BoundingBox& box,
-                                   std::vector<double>& scratch,
-                                   uint8_t* split_axis) {
-  const IndexNode& node = nodes_[node_index];
-  const size_t count = node.count();
+size_t SpatialIndex::PartitionRange(size_t begin, size_t end, size_t depth,
+                                    BoundingBox box, double* scratch,
+                                    uint8_t* split_axis) {
+  const size_t count = end - begin;
 
   // Choose the split axis: cycle by level, or widest box extent. Either
   // way, fall through to other axes if the chosen one is degenerate
@@ -164,24 +182,23 @@ size_t SpatialIndex::PartitionNode(size_t node_index, size_t depth,
                     : box.WidestAxis();
   if (box.Extent(axis) <= 0.0) {
     axis = box.WidestAxis();
-    if (box.Extent(axis) <= 0.0) return node.begin;  // All points identical.
+    if (box.Extent(axis) <= 0.0) return begin;  // All points identical.
   }
 
   // Gather this node's coordinates along the axis and compute the split
   // position with the configured rule.
-  scratch.resize(count);
+  double* values = scratch + begin;
   for (size_t i = 0; i < count; ++i) {
-    scratch[i] = points_[(node.begin + i) * dims_ + axis];
+    values[i] = points_[(begin + i) * dims_ + axis];
   }
-  double split = ComputeSplitPosition(options_.split_rule, scratch.data(),
-                                      count);
+  double split = ComputeSplitPosition(options_.split_rule, values, count);
 
   // Partition rows: left gets coord < split. If that is degenerate (all on
   // one side), fall back to the median, then to strict inequality around
   // it, which always separates a non-degenerate axis.
   auto partition_rows = [&](double pivot) {
-    size_t left = node.begin;
-    size_t right = node.end;
+    size_t left = begin;
+    size_t right = end;
     while (left < right) {
       if (points_[left * dims_ + axis] < pivot) {
         ++left;
@@ -194,13 +211,12 @@ size_t SpatialIndex::PartitionNode(size_t node_index, size_t depth,
   };
 
   size_t mid = partition_rows(split);
-  if (mid == node.begin || mid == node.end) {
+  if (mid == begin || mid == end) {
     const size_t median_rank = count / 2;
-    std::nth_element(scratch.begin(), scratch.begin() + median_rank,
-                     scratch.begin() + count);
-    split = scratch[median_rank];
+    std::nth_element(values, values + median_rank, values + count);
+    split = values[median_rank];
     mid = partition_rows(split);
-    if (mid == node.begin) {
+    if (mid == begin) {
       // All coordinates >= split; move strictly-greater to the right.
       mid = partition_rows(std::nextafter(
           split, std::numeric_limits<double>::infinity()));

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/simd.h"
 #include "data/dataset.h"
 #include "index/bounding_box.h"
@@ -24,10 +25,11 @@ struct IndexOptions {
 };
 
 /// One node of a spatial index. Nodes are stored in a flat vector; children
-/// are referenced by index (-1 marks a leaf). Every node knows its point
-/// range [begin, end) in the index's reordered point array — the
+/// are referenced by index (-1 marks a leaf), and the build gives a node's
+/// two children consecutive ids. Every node knows its point range
+/// [begin, end) in the index's reordered point array — the
 /// multi-resolution structure of paper Figure 3. The node's bounding box
-/// lives in the index, keyed by node index.
+/// lives in the index's geometry array, keyed by node index.
 struct IndexNode {
   size_t begin = 0;
   size_t end = 0;
@@ -42,7 +44,8 @@ struct IndexNode {
 /// Static k-d tree over a dataset (paper Section 3.2, Figure 3): a binary
 /// tree whose points are copied and reordered into a contiguous array
 /// (leaf scans stay cache-friendly; OriginalIndex() maps back to dataset
-/// row ids), with an exact axis-aligned bounding box per node. The min/max
+/// row ids), with an exact axis-aligned bounding box per node, all boxes
+/// in one flat geometry array (node i: min[d] then max[d]). The min/max
 /// scaled distances from a query to a box give the kernel contribution
 /// bounds of Eq. 6 — tight at low dimension, increasingly slack as the
 /// farthest-corner bound grows with d.
@@ -54,15 +57,19 @@ class SpatialIndex {
  public:
   /// Builds the tree over `data`. O(n log n). CHECKs the build options
   /// (non-empty data, leaf_size >= 1) so misconfiguration fails loudly at
-  /// construction, not mid-traversal.
-  SpatialIndex(const Dataset& data, IndexOptions options);
+  /// construction, not mid-traversal. With a `pool`, the nodes of each tree
+  /// level are boxed and partitioned on its slots; the result (nodes,
+  /// boxes, reordered points) is identical for every pool and for none.
+  SpatialIndex(const Dataset& data, IndexOptions options,
+               ThreadPool* pool = nullptr);
 
   /// Restore path (model_io): adopts an already-validated topology plus
-  /// per-node boxes over already-reordered points. The caller (the model
-  /// reader) is responsible for structural validation.
+  /// the flat per-node box array (the layout geometry() returns) over
+  /// already-reordered points. The caller (the model reader) is
+  /// responsible for structural validation.
   SpatialIndex(size_t dims, std::vector<double> reordered_points,
                std::vector<size_t> original_index,
-               std::vector<IndexNode> nodes, std::vector<BoundingBox> boxes,
+               std::vector<IndexNode> nodes, std::vector<double> geometry,
                IndexOptions options);
 
   SpatialIndex(const SpatialIndex&) = delete;
@@ -77,8 +84,14 @@ class SpatialIndex {
   static constexpr size_t kRoot = 0;
   const IndexNode& root() const { return nodes_[kRoot]; }
 
-  /// Exact bounding box of node `i`'s points.
-  const BoundingBox& box(size_t i) const { return boxes_[i]; }
+  /// Exact bounding box of node `i`'s points, viewed in the geometry array.
+  BoundingBox box(size_t i) const {
+    return BoundingBox(geometry_.data() + 2 * dims_ * i, dims_);
+  }
+
+  /// Every node's box, flat: node i's min[0..d) then max[0..d) start at
+  /// 2 * d * i. The model file stores this array as is.
+  std::span<const double> geometry() const { return geometry_; }
 
   /// Coordinates of reordered point `i` (0 <= i < size()).
   std::span<const double> Point(size_t i) const {
@@ -141,7 +154,7 @@ class SpatialIndex {
   double NodeMinScaledSquaredDistance(size_t node_index,
                                       std::span<const double> x,
                                       std::span<const double> inv_bw) const {
-    return boxes_[node_index].MinScaledSquaredDistance(x, inv_bw);
+    return box(node_index).MinScaledSquaredDistance(x, inv_bw);
   }
 
   /// Certified bounds [z_min, z_max] on the scaled squared distance from
@@ -151,7 +164,7 @@ class SpatialIndex {
                                        std::span<const double> x,
                                        std::span<const double> inv_bw,
                                        double* z_min, double* z_max) const {
-    const BoundingBox& b = boxes_[node_index];
+    const BoundingBox b = box(node_index);
     *z_min = b.MinScaledSquaredDistance(x, inv_bw);
     *z_max = b.MaxScaledSquaredDistance(x, inv_bw);
   }
@@ -159,19 +172,22 @@ class SpatialIndex {
   /// Eq. 6 bounds for *both children* of internal node `node_index` in one
   /// vectorized pass: out = {left z_min, left z_max, right z_min,
   /// right z_max}. The best-first traversal always expands both children
-  /// together; one lane per bound, dimensions sequential, so the results
-  /// are bit-identical to two NodeScaledSquaredDistanceBounds calls
+  /// together (consecutive ids, so their boxes are one contiguous 4d run);
+  /// one lane per bound, dimensions sequential, so the results are
+  /// bit-identical to two NodeScaledSquaredDistanceBounds calls
   /// (common/simd.h contract).
   void NodeChildrenScaledSquaredDistanceBounds(size_t node_index,
                                                std::span<const double> x,
                                                std::span<const double> inv_bw,
                                                double out[4]) const {
     const IndexNode& n = nodes_[node_index];
-    const BoundingBox& lb = boxes_[static_cast<size_t>(n.left)];
-    const BoundingBox& rb = boxes_[static_cast<size_t>(n.right)];
-    simd::BoxPairScaledSquaredDistanceBounds(
-        lb.min().data(), lb.max().data(), rb.min().data(), rb.max().data(),
-        x.data(), inv_bw.data(), dims_, out);
+    const double* lb =
+        geometry_.data() + 2 * dims_ * static_cast<size_t>(n.left);
+    const double* rb =
+        geometry_.data() + 2 * dims_ * static_cast<size_t>(n.right);
+    simd::BoxPairScaledSquaredDistanceBounds(lb, lb + dims_, rb, rb + dims_,
+                                             x.data(), inv_bw.data(), dims_,
+                                             out);
   }
 
   /// Appends to `out` the reordered indices of all points whose scaled
@@ -197,27 +213,25 @@ class SpatialIndex {
  private:
   static constexpr size_t kNoSoaBlock = static_cast<size_t>(-1);
 
-  /// Grows the tree top-down, recording each node's tight bounding box
-  /// (computed before the node is split, so the split rules see it). The
-  /// split-coordinate scratch buffer lives only for the duration of this
-  /// call — build-only state is freed before the first query.
-  void BuildTree();
+  /// Grows the tree level by level. A level's nodes own disjoint row
+  /// ranges, so each one's box, split and in-place partition run on
+  /// `pool` (inline without one), writing only that range of the points,
+  /// the permutation and the one n-double scratch, plus its own entries of
+  /// per-level arrays sized before the fork. The nodes are then renumbered
+  /// in depth-first order, so the output never depends on the pool.
+  /// Build-only state is freed before the first query.
+  void BuildTree(ThreadPool* pool);
 
-  /// Splits node `node_index` in place (partitioning its point range via
-  /// PartitionNode and appending children) unless it is leaf-sized or the
-  /// partition refuses. `box` is the node's bounding box; `scratch` is the
-  /// reusable build buffer.
-  void SplitNode(size_t node_index, size_t depth, const BoundingBox& box,
-                 std::vector<double>& scratch);
-
-  /// Partitions node `node_index`'s point range [begin, end) into children
+  /// Partitions rows [begin, end), whose tight box is `box`, into
   /// [begin, mid) and [mid, end) on an axis-aligned plane chosen by
-  /// options().split_rule / axis_rule, reordering rows in place, and
-  /// returns mid. Returning begin or end refuses the split and leaves the
-  /// node an (oversized) leaf — the degenerate-data escape hatch. Sets
-  /// *split_axis to the split plane's axis.
-  size_t PartitionNode(size_t node_index, size_t depth, const BoundingBox& box,
-                       std::vector<double>& scratch, uint8_t* split_axis);
+  /// options().split_rule / axis_rule at tree depth `depth`, reordering
+  /// rows in place, and returns mid. Returning begin or end refuses the
+  /// split and leaves the node an (oversized) leaf — the degenerate-data
+  /// escape hatch. Sets *split_axis to the split plane's axis. Touches
+  /// only rows [begin, end) and scratch[begin, end).
+  size_t PartitionRange(size_t begin, size_t end, size_t depth,
+                        BoundingBox box, double* scratch,
+                        uint8_t* split_axis);
 
   /// Swaps reordered rows `a` and `b` (coordinates and the
   /// original-index permutation entry).
@@ -234,7 +248,7 @@ class SpatialIndex {
   std::vector<double> points_;          // Reordered, row-major.
   std::vector<size_t> original_index_;  // Reordered -> dataset row.
   std::vector<IndexNode> nodes_;
-  std::vector<BoundingBox> boxes_;  // Parallel to nodes_.
+  std::vector<double> geometry_;  // Node i's box at 2 * dims_ * i.
 
   std::vector<double> soa_points_;   // Leaf blocks, per-dim contiguous.
   std::vector<size_t> soa_offsets_;  // Node -> block start (leaves only).

@@ -62,6 +62,11 @@ class BatchExecutor {
   void Map(size_t total, size_t min_chunk, const ContextFactory& make_context,
            const RowBody& body, QueryContext& sink);
 
+  /// The executor's pool, built on first use; null when serial. Other
+  /// fork/join work between Map() calls (the bootstrap's subsample index
+  /// builds) borrows it instead of starting threads of its own.
+  ThreadPool* pool();
+
   /// Drops the cached worker contexts; the next Map() rebuilds them from
   /// its factory. Call when the trained model or metrics attachment behind
   /// the factory changes — a stale context would carry scratch sized to the

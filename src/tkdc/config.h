@@ -74,8 +74,9 @@ struct TkdcConfig {
   uint64_t seed = 0;
 
   // --- Execution (beyond the paper) ---
-  /// Worker threads for the training-density pass and the batch query
-  /// APIs (`ClassifyBatch` / `ClassifyTrainingBatch`). 0 = hardware
+  /// Worker threads for training (the k-d tree builds, the bootstrap
+  /// levels, the training-density pass) and the batch query APIs
+  /// (`ClassifyBatch` / `ClassifyTrainingBatch`). 0 = hardware
   /// concurrency; 1 = the exact legacy serial path (no pool, no worker
   /// threads). Results are bit-identical regardless of the value — each
   /// point's densities are computed independently and only the (order-

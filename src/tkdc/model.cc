@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/parallel.h"
 
 namespace tkdc {
 
@@ -23,8 +24,13 @@ std::shared_ptr<TkdcModel> BuildTkdcModelSkeleton(
                prebuilt_index->dims() == data.dims());
     model->tree = std::move(prebuilt_index);
   } else {
-    model->tree =
-        std::make_unique<const SpatialIndex>(data, config.MakeIndexOptions());
+    // The tree levels fan out over the training threads, as the bootstrap
+    // does; the built tree is the same for every thread count.
+    const size_t num_threads = config.ResolvedNumThreads();
+    std::unique_ptr<ThreadPool> pool;
+    if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+    model->tree = std::make_unique<const SpatialIndex>(
+        data, config.MakeIndexOptions(), pool.get());
   }
   model->self_contribution =
       model->kernel->MaxValue() / static_cast<double>(data.size());

@@ -56,8 +56,9 @@ struct TkdcModel {
 /// Builds the index side of a model — kernel, tree, optional grid,
 /// self-contribution — from `data` and per-axis `bandwidths`, leaving the
 /// threshold fields for the caller (Train's bootstrap or model_io's
-/// restore). The index build is deterministic, so restoring from the
-/// original training data reproduces the trained tree exactly; model_io's
+/// restore). The index build runs on `config.num_threads` workers and is
+/// deterministic at every thread count, so restoring from the original
+/// training data reproduces the trained tree exactly; model_io's
 /// restore passes the deserialized index as `prebuilt_index` to skip the
 /// rebuild.
 std::shared_ptr<TkdcModel> BuildTkdcModelSkeleton(

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -60,7 +61,7 @@ class Writer {
   void U32(uint32_t v) { Bytes(&v, sizeof(v)); }
   void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
   void F64(double v) { Bytes(&v, sizeof(v)); }
-  void DoubleVec(const std::vector<double>& v) {
+  void DoubleVec(std::span<const double> v) {
     U64(v.size());
     if (!v.empty()) Bytes(v.data(), v.size() * sizeof(double));
   }
@@ -230,7 +231,8 @@ bool ReadValues(Reader& r, uint64_t dims, uint64_t n,
 //
 // Shared trailer of every tree-backed section: the index word (always
 // kKdTreeIndexWord), node topology, the reordered-to-original row
-// permutation, and the per-node k-d boxes. The raw training values
+// permutation, and the k-d tree's flat box array (node i: min[d] then
+// max[d]), written and adopted as is. The raw training values
 // already precede this section, so the reordered point storage is
 // reconstructed from the permutation rather than stored twice. An SoA
 // leaf-layout descriptor (lane width, leaf count, total padded doubles)
@@ -251,14 +253,7 @@ void WriteIndexSection(Writer& w, const SpatialIndex& index) {
     w.U32(static_cast<uint32_t>(node.right));
     w.U8(node.split_axis);
   }
-  std::vector<double> geometry;
-  geometry.reserve(2 * index.dims() * index.num_nodes());
-  for (size_t i = 0; i < index.num_nodes(); ++i) {
-    const BoundingBox& box = index.box(i);
-    geometry.insert(geometry.end(), box.min().begin(), box.min().end());
-    geometry.insert(geometry.end(), box.max().begin(), box.max().end());
-  }
-  w.DoubleVec(geometry);
+  w.DoubleVec(index.geometry());
   // SoA descriptor. Lane width is an architectural constant of the
   // format: a file written here must rebuild to exactly this layout.
   w.U64(kSimdBlockWidth);
@@ -386,7 +381,6 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
     *why = "truncated or corrupt k-d box geometry";
     return nullptr;
   }
-  std::vector<BoundingBox> boxes(num_nodes);
   for (uint64_t i = 0; i < num_nodes; ++i) {
     const double* min = geometry.data() + 2 * dims * i;
     const double* max = min + dims;
@@ -396,14 +390,10 @@ std::unique_ptr<const SpatialIndex> ReadIndexSection(Reader& r,
         return nullptr;
       }
     }
-    BoundingBox box(dims);
-    box.Extend({min, dims});
-    box.Extend({max, dims});
-    boxes[i] = std::move(box);
   }
   auto index = std::make_unique<const SpatialIndex>(
       dims, std::move(reordered), std::move(original_index), std::move(nodes),
-      std::move(boxes), std::move(options));
+      std::move(geometry), std::move(options));
   // SoA descriptor: the restore constructor just rebuilt the mirror from
   // the reordered points, so the stored layout must agree exactly — a
   // mismatch means the file was written by an incompatible layout (or

@@ -43,11 +43,12 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
   size_t r = std::min(config_->r0, n);
   size_t backoffs_this_level = 0;
 
-  // Each level's query sample fans out over the executor. Densities are
-  // written by sample index and sorted afterwards, and the counters fold as
-  // plain sums into `sink`, so every level's outcome is bit-identical at
-  // any thread count; with one thread the executor runs the serial loop on
-  // `sink` itself.
+  // Each level's query sample fans out over the executor, and its
+  // subsample index builds on the executor's pool. Densities are written
+  // by sample index and sorted afterwards, the counters fold as plain sums
+  // into `sink`, and the index build's output does not depend on the pool,
+  // so every level's outcome is bit-identical at any thread count; with
+  // one thread the executor runs the serial loop on `sink` itself.
   BatchExecutor executor(config_->ResolvedNumThreads());
   const BatchExecutor::ContextFactory make_context = [] {
     return std::make_unique<TreeQueryContext>();
@@ -72,7 +73,7 @@ ThresholdBootstrapResult ThresholdEstimator::Bootstrap(
                                             *subsample,
                                             config_->bandwidth_scale));
       sub_tree = std::make_unique<const SpatialIndex>(
-          *subsample, config_->MakeIndexOptions());
+          *subsample, config_->MakeIndexOptions(), executor.pool());
       train = subsample.get();
       kernel = sub_kernel.get();
       tree = sub_tree.get();

@@ -249,5 +249,43 @@ TEST_F(CliTest, UnknownKernelRejected) {
   EXPECT_NE(Err().find("unknown kernel"), std::string::npos);
 }
 
+TEST_F(CliTest, RejectsUnknownOptions) {
+  // A removed flag (--index) or a typo (--tread for --threads) must fail,
+  // naming the option, rather than pass as if it had been honoured.
+  const std::string data_csv = MakeDataCsv("unknown_opt.csv", 300);
+  const std::string model = TempPath("unknown_opt.tkdc");
+  std::remove(model.c_str());
+  for (const std::string option : {"--index", "--tread"}) {
+    EXPECT_EQ(Run({"train", "--input", data_csv, "--model", model, option,
+                   "4"}),
+              2)
+        << option;
+    EXPECT_NE(Err().find("unknown option " + option), std::string::npos)
+        << Err();
+    EXPECT_NE(Err().find("usage:"), std::string::npos);
+    EXPECT_FALSE(std::ifstream(model).good()) << option;
+  }
+  // A flag one subcommand reads is unknown to the others.
+  EXPECT_EQ(Run({"train", "--input", data_csv, "--model", model,
+                 "--training"}),
+            2);
+  EXPECT_NE(Err().find("unknown option --training"), std::string::npos);
+  EXPECT_FALSE(std::ifstream(model).good());
+
+  ASSERT_EQ(Run({"train", "--input", data_csv, "--model", model}), 0)
+      << Err();
+  EXPECT_EQ(Run({"classify", "--model", model, "--input", data_csv,
+                 "--output", TempPath("unknown_opt_out.csv"), "--thread",
+                 "2"}),
+            2);
+  EXPECT_NE(Err().find("unknown option --thread"), std::string::npos);
+  EXPECT_EQ(Run({"info", "--model", model, "--verbose=1"}), 2);
+  EXPECT_NE(Err().find("unknown option --verbose"), std::string::npos);
+  EXPECT_EQ(Run({"generate", "--dataset", "gauss", "--n", "10", "--dim", "3",
+                 "--output", TempPath("unknown_opt_gen.csv")}),
+            2);
+  EXPECT_NE(Err().find("unknown option --dim"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace tkdc

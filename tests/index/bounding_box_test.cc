@@ -10,10 +10,18 @@
 namespace tkdc {
 namespace {
 
+// Flat storage (min[d] then max[d]) of the tight box around `rows`, a
+// row-major array of `dims`-dimensional points.
+std::vector<double> FitBox(const std::vector<double>& rows, size_t dims) {
+  std::vector<double> flat(2 * dims);
+  BoundingBox::Fit(rows.data(), dims, 0, rows.size() / dims, flat.data());
+  return flat;
+}
+
 TEST(BoundingBoxTest, ExtendGrowsBox) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{1.0, 2.0});
-  box.Extend(std::vector<double>{-1.0, 5.0});
+  // Each row fitted after the first grows the box on the axes it exceeds.
+  const std::vector<double> flat = FitBox({1.0, 2.0, -1.0, 5.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   EXPECT_DOUBLE_EQ(box.min()[0], -1.0);
   EXPECT_DOUBLE_EQ(box.max()[0], 1.0);
   EXPECT_DOUBLE_EQ(box.min()[1], 2.0);
@@ -22,7 +30,9 @@ TEST(BoundingBoxTest, ExtendGrowsBox) {
 
 TEST(BoundingBoxTest, FromPointsTight) {
   const std::vector<double> points{0.0, 0.0, 3.0, -1.0, 1.0, 4.0};
-  const BoundingBox box = BoundingBox::FromPoints(points.data(), 2, 0, 3);
+  std::vector<double> flat(4);
+  BoundingBox::Fit(points.data(), 2, 0, 3, flat.data());
+  const BoundingBox box(flat.data(), 2);
   EXPECT_DOUBLE_EQ(box.min()[0], 0.0);
   EXPECT_DOUBLE_EQ(box.max()[0], 3.0);
   EXPECT_DOUBLE_EQ(box.min()[1], -1.0);
@@ -31,15 +41,16 @@ TEST(BoundingBoxTest, FromPointsTight) {
 
 TEST(BoundingBoxTest, FromPointsSubrange) {
   const std::vector<double> points{0.0, 10.0, 20.0, 30.0};
-  const BoundingBox box = BoundingBox::FromPoints(points.data(), 1, 1, 3);
+  std::vector<double> flat(2);
+  BoundingBox::Fit(points.data(), 1, 1, 3, flat.data());
+  const BoundingBox box(flat.data(), 1);
   EXPECT_DOUBLE_EQ(box.min()[0], 10.0);
   EXPECT_DOUBLE_EQ(box.max()[0], 20.0);
 }
 
 TEST(BoundingBoxTest, Contains) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{0.0, 0.0});
-  box.Extend(std::vector<double>{2.0, 2.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 2.0, 2.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   EXPECT_TRUE(box.Contains(std::vector<double>{1.0, 1.0}));
   EXPECT_TRUE(box.Contains(std::vector<double>{0.0, 2.0}));  // Boundary.
   EXPECT_FALSE(box.Contains(std::vector<double>{-0.1, 1.0}));
@@ -47,9 +58,8 @@ TEST(BoundingBoxTest, Contains) {
 }
 
 TEST(BoundingBoxTest, MinDistanceZeroInside) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{0.0, 0.0});
-  box.Extend(std::vector<double>{2.0, 2.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 2.0, 2.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   const std::vector<double> inv_bw{1.0, 1.0};
   EXPECT_DOUBLE_EQ(
       box.MinScaledSquaredDistance(std::vector<double>{1.0, 1.0}, inv_bw),
@@ -57,9 +67,8 @@ TEST(BoundingBoxTest, MinDistanceZeroInside) {
 }
 
 TEST(BoundingBoxTest, MinDistanceOutside) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{0.0, 0.0});
-  box.Extend(std::vector<double>{2.0, 2.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 2.0, 2.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   const std::vector<double> inv_bw{1.0, 1.0};
   // Query (4, 3): gaps (2, 1) -> squared distance 5.
   EXPECT_DOUBLE_EQ(
@@ -68,9 +77,8 @@ TEST(BoundingBoxTest, MinDistanceOutside) {
 }
 
 TEST(BoundingBoxTest, MaxDistanceIsFarthestCorner) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{0.0, 0.0});
-  box.Extend(std::vector<double>{2.0, 2.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 2.0, 2.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   const std::vector<double> inv_bw{1.0, 1.0};
   // From (0, 0) (a corner), farthest is (2, 2): squared distance 8.
   EXPECT_DOUBLE_EQ(
@@ -83,9 +91,8 @@ TEST(BoundingBoxTest, MaxDistanceIsFarthestCorner) {
 }
 
 TEST(BoundingBoxTest, BandwidthScalingAffectsDistances) {
-  BoundingBox box(2);
-  box.Extend(std::vector<double>{0.0, 0.0});
-  box.Extend(std::vector<double>{1.0, 1.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 1.0, 1.0}, 2);
+  const BoundingBox box(flat.data(), 2);
   const std::vector<double> inv_bw{2.0, 0.5};  // h = (0.5, 2).
   // Query (2, 0): gap (1, 0) -> (1*2)^2 = 4.
   EXPECT_DOUBLE_EQ(
@@ -94,9 +101,8 @@ TEST(BoundingBoxTest, BandwidthScalingAffectsDistances) {
 }
 
 TEST(BoundingBoxTest, ExtentAndWidestAxis) {
-  BoundingBox box(3);
-  box.Extend(std::vector<double>{0.0, 0.0, 0.0});
-  box.Extend(std::vector<double>{1.0, 5.0, 3.0});
+  const std::vector<double> flat = FitBox({0.0, 0.0, 0.0, 1.0, 5.0, 3.0}, 3);
+  const BoundingBox box(flat.data(), 3);
   EXPECT_DOUBLE_EQ(box.Extent(0), 1.0);
   EXPECT_DOUBLE_EQ(box.Extent(1), 5.0);
   EXPECT_EQ(box.WidestAxis(), 1u);
@@ -110,15 +116,14 @@ TEST_P(BoundingBoxDistanceProperty, BoundsBracketActualDistances) {
   Rng rng(GetParam());
   const size_t d = 3;
   const std::vector<double> inv_bw{1.0, 2.0, 0.5};
-  // Random box from two corners.
-  BoundingBox box(d);
-  std::vector<double> corner_a(d), corner_b(d);
+  // Random box from two corners (rows 0 and 1).
+  std::vector<double> corners(2 * d);
   for (size_t j = 0; j < d; ++j) {
-    corner_a[j] = rng.Uniform(-3.0, 3.0);
-    corner_b[j] = rng.Uniform(-3.0, 3.0);
+    corners[j] = rng.Uniform(-3.0, 3.0);
+    corners[d + j] = rng.Uniform(-3.0, 3.0);
   }
-  box.Extend(corner_a);
-  box.Extend(corner_b);
+  const std::vector<double> flat = FitBox(corners, d);
+  const BoundingBox box(flat.data(), d);
   std::vector<double> query(d);
   for (size_t j = 0; j < d; ++j) query[j] = rng.Uniform(-6.0, 6.0);
   const double z_min = box.MinScaledSquaredDistance(query, inv_bw);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
 
@@ -70,7 +71,7 @@ TEST(KdTreeTest, ReorderingIsAPermutation) {
 // child boxes nest inside the parent box, points lie in their node's box.
 void CheckNodeInvariants(const SpatialIndex& tree, size_t node_index) {
   const IndexNode& node = tree.node(node_index);
-  const BoundingBox& box = tree.box(node_index);
+  const BoundingBox box = tree.box(node_index);
   for (size_t i = node.begin; i < node.end; ++i) {
     EXPECT_TRUE(box.Contains(tree.Point(i)))
         << "point " << i << " outside box of node " << node_index;
@@ -88,8 +89,8 @@ void CheckNodeInvariants(const SpatialIndex& tree, size_t node_index) {
   }
   const IndexNode& left = tree.node(static_cast<size_t>(node.left));
   const IndexNode& right = tree.node(static_cast<size_t>(node.right));
-  const BoundingBox& left_box = tree.box(static_cast<size_t>(node.left));
-  const BoundingBox& right_box = tree.box(static_cast<size_t>(node.right));
+  const BoundingBox left_box = tree.box(static_cast<size_t>(node.left));
+  const BoundingBox right_box = tree.box(static_cast<size_t>(node.right));
   EXPECT_EQ(left.begin, node.begin);
   EXPECT_EQ(left.end, right.begin);
   EXPECT_EQ(right.end, node.end);
@@ -131,6 +132,30 @@ TEST_P(KdTreeInvariants, HoldWithHeavyDuplicates) {
   SpatialIndex tree(data, SmallLeaves(GetParam()));
   CheckNodeInvariants(tree, SpatialIndex::kRoot);
   EXPECT_EQ(tree.root().count(), 150u);
+}
+
+TEST_P(KdTreeInvariants, HoldWhenBuiltOnAPool) {
+  // The level-synchronous build partitions a level's nodes on the pool's
+  // slots; the same invariants must hold on every input.
+  ThreadPool pool(4);
+  Rng rng(3);
+  Dataset gaussian = SampleStandardGaussian(1000, 3, rng);
+  CheckNodeInvariants(SpatialIndex(gaussian, SmallLeaves(GetParam()), &pool),
+                      SpatialIndex::kRoot);
+  const Mixture mixture = RandomGaussianMixture(2, 5, 10.0, 0.1, 1.0, rng);
+  Dataset clustered = mixture.Sample(800, rng);
+  CheckNodeInvariants(SpatialIndex(clustered, SmallLeaves(GetParam()), &pool),
+                      SpatialIndex::kRoot);
+  Dataset duplicates(2);
+  for (int i = 0; i < 100; ++i) {
+    duplicates.AppendRow(std::vector<double>{1.0, 1.0});
+  }
+  for (int i = 0; i < 50; ++i) {
+    duplicates.AppendRow(std::vector<double>{2.0, 3.0});
+  }
+  CheckNodeInvariants(
+      SpatialIndex(duplicates, SmallLeaves(GetParam()), &pool),
+      SpatialIndex::kRoot);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRules, KdTreeInvariants,

@@ -1,9 +1,11 @@
 #include "tkdc/model_io.h"
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -363,6 +365,92 @@ TEST_F(ModelIoTest, NonzeroIndexWordsAreRefused) {
     }
     EXPECT_NE(error.find("ball tree"), std::string::npos) << error;
   }
+}
+
+// The index section stores every k-d box in one flat array (node i:
+// min[d] then max[d]) and the reader adopts it as is, after checking that
+// no coordinate is NaN or infinite and no box is inverted. A box corrupted
+// either way, with the checksum fixed, must fail the load with an error,
+// never abort.
+TEST_F(ModelIoTest, LoadRejectsCorruptBoxGeometry) {
+  constexpr size_t kN = 400;
+  constexpr size_t kDims = 2;
+  const Dataset data = TrainSet(57, kN);
+  TkdcClassifier original;
+  original.Train(data);
+  const std::string path = TempPath("box_geometry.tkdc");
+  std::string error;
+  ASSERT_TRUE(SaveModel(path, original, data, false, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  const std::string pristine((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  in.close();
+
+  // Index section after its word: node count, permutation, 25 bytes of
+  // topology per node, then the geometry array's u64 length and values.
+  const size_t num_nodes = original.tree().num_nodes();
+  const size_t length_offset = 8 + 4 + IndexSectionWordOffset(kDims, kN) +
+                               1 + 8 + 8 * kN + 25 * num_nodes;
+  const size_t geometry_offset = length_offset + 8;
+  ASSERT_LT(geometry_offset + 2 * kDims * num_nodes * 8, pristine.size());
+  uint64_t length = 0;
+  std::memcpy(&length, pristine.data() + length_offset, sizeof(length));
+  ASSERT_EQ(length, 2 * kDims * num_nodes);
+  double root_min_x = 0.0;
+  std::memcpy(&root_min_x, pristine.data() + geometry_offset,
+              sizeof(root_min_x));
+  ASSERT_EQ(root_min_x, original.tree().box(SpatialIndex::kRoot).min()[0]);
+
+  const double root_max_x = original.tree().box(SpatialIndex::kRoot).max()[0];
+  const struct {
+    const char* what;
+    double value;
+    const char* expected_error;
+  } corruptions[] = {
+      {"inverted", root_max_x + 1.0, "inverted k-d bounding box"},
+      {"nan", std::nan(""), "corrupt k-d box geometry"},
+  };
+  for (const auto& corruption : corruptions) {
+    SCOPED_TRACE(corruption.what);
+    std::string bytes = pristine;
+    std::memcpy(bytes.data() + geometry_offset, &corruption.value,
+                sizeof(corruption.value));
+    const uint64_t checksum =
+        Fnv1a(bytes.substr(8, bytes.size() - 8 - sizeof(uint64_t)));
+    std::memcpy(bytes.data() + bytes.size() - sizeof(uint64_t), &checksum,
+                sizeof(checksum));
+    const std::string corrupt_path = TempPath("box_geometry_corrupt.tkdc");
+    std::ofstream out(corrupt_path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    out.close();
+    error.clear();
+    EXPECT_EQ(LoadModel(corrupt_path, &error), nullptr);
+    EXPECT_NE(error.find(corruption.expected_error), std::string::npos)
+        << error;
+  }
+}
+
+// The index build runs on config.num_threads workers; the saved file must
+// not show how many.
+TEST_F(ModelIoTest, SavedBytesDoNotDependOnTrainingThreads) {
+  const Dataset data = TrainSet(59);
+  std::vector<std::string> files;
+  for (const size_t threads : {1u, 4u}) {
+    TkdcConfig config;
+    config.num_threads = threads;
+    TkdcClassifier classifier(config);
+    classifier.Train(data);
+    const std::string path =
+        TempPath("threads_" + std::to_string(threads) + ".tkdc");
+    std::string error;
+    ASSERT_TRUE(SaveModel(path, classifier, data, true, &error)) << error;
+    std::ifstream in(path, std::ios::binary);
+    files.emplace_back((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  }
+  ASSERT_FALSE(files[0].empty());
+  EXPECT_TRUE(files[0] == files[1]) << "sizes " << files[0].size() << " vs "
+                                    << files[1].size();
 }
 
 TEST_F(ModelIoTest, RejectsEveryOtherFormatVersion) {

@@ -6,13 +6,19 @@
 // model", and the test the TSan build runs to certify the engine race-free
 // (see README / EXPERIMENTS.md for the TKDC_SANITIZE=thread invocation).
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/rkde.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "index/spatial_index.h"
 #include "tkdc/classifier.h"
 #include "tkdc/multi_threshold.h"
 
@@ -206,6 +212,98 @@ TEST(ParallelEquivalenceTest, MultiThresholdMatchesSerial) {
     EXPECT_EQ(thresholds[run], thresholds[0]) << "run " << run;
     EXPECT_EQ(bands[run], bands[0]) << "run " << run;
     EXPECT_EQ(evaluations[run], evaluations[0]) << "run " << run;
+  }
+}
+
+// Bitwise comparison: EXPECT_EQ on doubles would equate +0.0 and -0.0.
+bool SameBits(const double* a, const double* b, size_t count) {
+  return std::memcmp(a, b, count * sizeof(double)) == 0;
+}
+
+void ExpectSameIndex(const SpatialIndex& serial, const SpatialIndex& built) {
+  ASSERT_EQ(serial.size(), built.size());
+  ASSERT_EQ(serial.num_nodes(), built.num_nodes());
+  for (size_t i = 0; i < serial.num_nodes(); ++i) {
+    const IndexNode& a = serial.node(i);
+    const IndexNode& b = built.node(i);
+    ASSERT_EQ(a.begin, b.begin) << "node " << i;
+    ASSERT_EQ(a.end, b.end) << "node " << i;
+    ASSERT_EQ(a.left, b.left) << "node " << i;
+    ASSERT_EQ(a.right, b.right) << "node " << i;
+    ASSERT_EQ(a.split_axis, b.split_axis) << "node " << i;
+  }
+  ASSERT_EQ(serial.geometry().size(), built.geometry().size());
+  ASSERT_TRUE(SameBits(serial.geometry().data(), built.geometry().data(),
+                       serial.geometry().size()));
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial.OriginalIndex(i), built.OriginalIndex(i)) << "row " << i;
+    ASSERT_TRUE(
+        SameBits(serial.Point(i).data(), built.Point(i).data(), serial.dims()))
+        << "row " << i;
+  }
+  ASSERT_EQ(serial.num_soa_leaves(), built.num_soa_leaves());
+  ASSERT_EQ(serial.num_soa_doubles(), built.num_soa_doubles());
+  for (size_t i = 0; i < serial.num_nodes(); ++i) {
+    if (!serial.node(i).is_leaf()) continue;
+    const SpatialIndex::SoaLeaf a = serial.LeafSoa(i);
+    const SpatialIndex::SoaLeaf b = built.LeafSoa(i);
+    ASSERT_EQ(a.padded, b.padded) << "leaf " << i;
+    ASSERT_TRUE(SameBits(a.block, b.block, serial.dims() * a.padded))
+        << "leaf " << i;
+  }
+}
+
+// The index build fans each tree level out over a pool. Nodes, boxes, the
+// reordered points, the permutation and the SoA mirror must not depend on
+// the pool's size, on every split path: gauss and an 8-column mixture
+// (ordinary splits), all-identical rows (no split possible) and a column
+// that is mostly one value (the median and strict-inequality fallbacks).
+TEST(ParallelEquivalenceTest, IndexBuildMatchesSerial) {
+  Rng rng(31);
+  std::vector<std::pair<std::string, Dataset>> inputs;
+  inputs.emplace_back("gauss_d2", SampleStandardGaussian(20000, 2, rng));
+  inputs.emplace_back(
+      "mixture_d8",
+      RandomGaussianMixture(8, 6, 10.0, 0.1, 1.0, rng).Sample(4000, rng));
+  Dataset identical(3);
+  for (int i = 0; i < 500; ++i) {
+    identical.AppendRow(std::vector<double>{1.5, -2.0, 0.25});
+  }
+  inputs.emplace_back("identical", std::move(identical));
+  Dataset duplicates(2);
+  for (int i = 0; i < 4000; ++i) {
+    duplicates.AppendRow(std::vector<double>{
+        i % 20 == 0 ? static_cast<double>(i % 7) : 0.0, rng.NextGaussian()});
+  }
+  inputs.emplace_back("duplicate_column", std::move(duplicates));
+
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const size_t slots : {2u, 3u, 4u, 8u}) {
+    pools.push_back(std::make_unique<ThreadPool>(slots));
+  }
+  for (const auto& [name, data] : inputs) {
+    for (const size_t leaf_size : {1u, 32u, 128u}) {
+      for (const SplitRule rule :
+           {SplitRule::kMedian, SplitRule::kMidpoint,
+            SplitRule::kTrimmedMidpoint}) {
+        for (const SplitAxisRule axis_rule :
+             {SplitAxisRule::kCycle, SplitAxisRule::kWidestExtent}) {
+          IndexOptions options;
+          options.leaf_size = leaf_size;
+          options.split_rule = rule;
+          options.axis_rule = axis_rule;
+          const SpatialIndex serial(data, options);
+          for (const auto& pool : pools) {
+            SCOPED_TRACE(name + " leaf " + std::to_string(leaf_size) + " " +
+                         SplitRuleName(rule) + " axis rule " +
+                         std::to_string(static_cast<int>(axis_rule)) +
+                         " slots " + std::to_string(pool->num_threads()));
+            const SpatialIndex built(data, options, pool.get());
+            ExpectSameIndex(serial, built);
+          }
+        }
+      }
+    }
   }
 }
 
